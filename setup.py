@@ -1,5 +1,3 @@
-import os
-
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
@@ -20,22 +18,13 @@ class optional_build_ext(build_ext):
             print(f"WARNING: building {ext.name} failed ({exc}); pure-Python fallback will be used")
 
 
-extensions = []
-if os.environ.get("FRANELCHECK_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        extensions = cythonize(
-            [
-                Extension(
-                    "franelcheck.kernels._native",
-                    ["src/franelcheck/kernels/_native.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "franelcheck.kernels._native",
+            ["src/franelcheck/kernels/_native.c"],
+            extra_compile_args=["-O3"],
         )
-    except ImportError:
-        pass
-
-setup(ext_modules=extensions, cmdclass={"build_ext": optional_build_ext})
+    ],
+    cmdclass={"build_ext": optional_build_ext},
+)

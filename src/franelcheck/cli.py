@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import expr as expr_mod
-from . import identities, mining, report, suite
+from . import identities, kernels, mining, report, suite
 from .modring import NonInvertibleError, ring_new
 from .primes import primes_in_range
 from .sequences import (
@@ -286,11 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_if_native_missing() -> None:
+    """One stderr line, never part of a report, when the tables fall back to pure Python."""
+    if kernels._native is None and not kernels._FORCE_PURE:
+        print(
+            "franelcheck: warning: compiled kernels are not built, so every table runs on the "
+            "slower pure-Python backend (build them with `python3 setup.py build_ext --inplace`)",
+            file=sys.stderr,
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
+    _warn_if_native_missing()
     try:
         return args.func(args)
     except (ValueError, expr_mod.ParseError) as exc:

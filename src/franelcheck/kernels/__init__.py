@@ -1,12 +1,17 @@
-"""Kernel backend selection.
+"""Kernel backend selection and the kernel boundary.
 
-The hot table kernels exist twice: a Cython extension (``_native``) and a
-pure-Python mirror (``pure``).  The compiled backend is picked at import
-when available; it only handles moduli below 2**63, so larger moduli fall
-through to the pure path, which is arbitrary precision.
+The hot table kernels exist twice: a hand-written C extension (``_native``,
+built from ``_native.c`` by ``setup.py``) and a pure-Python mirror
+(``pure``).  The compiled backend is picked at import when it was built; it
+only handles moduli below 2**63, so larger moduli fall through to the pure
+path, which is arbitrary precision.
 
-Set ``FRANELCHECK_PURE=1`` to force the pure backend (used by the parity
-tests and the benchmark).
+Every call goes through the functions below, which validate the arguments
+and reduce residue parameters mod m once for both backends, so the two
+accept the same inputs and return the same lists.
+
+Set ``FRANELCHECK_PURE=1`` to force the pure backend, e.g. to time or
+check an end-to-end run on it.
 """
 
 from __future__ import annotations
@@ -42,36 +47,49 @@ def _impl(m: int):
     return pure
 
 
+def _check_length(p: int, length: int) -> None:
+    if not 0 <= length <= p:
+        raise ValueError(f"length must be in 0..p, got {length} with p={p}")
+
+
 def inverse_table(p: int, m: int, n: int) -> list[int]:
+    if not 0 <= n < p:
+        raise ValueError(f"inverse table needs 0 <= n < p, got n={n}, p={p}")
     return _impl(m).inverse_table(p, m, n)
 
 
-def factorial_tables(p: int, m: int, n: int) -> tuple[list[int], list[int]]:
-    return _impl(m).factorial_tables(p, m, n)
-
-
 def franel_table(p: int, m: int, length: int) -> list[int]:
+    _check_length(p, length)
     return _impl(m).franel_table(p, m, length)
 
 
 def central_binom_table(p: int, m: int, length: int) -> list[int]:
+    _check_length(p, length)
     return _impl(m).central_binom_table(p, m, length)
 
 
 def binom_shift_table(p: int, m: int, rbar: int, length: int) -> list[int]:
-    return _impl(m).binom_shift_table(p, m, rbar, length)
+    _check_length(p, length)
+    return _impl(m).binom_shift_table(p, m, rbar % m, length)
 
 
 def fpoly_table(p: int, m: int, x: int, length: int) -> list[int]:
-    return _impl(m).fpoly_table(p, m, x, length)
+    _check_length(p, length)
+    return _impl(m).fpoly_table(p, m, x % m, length)
 
 
 def genfranel_table(p: int, m: int, r: int, length: int) -> list[int]:
-    return _impl(m).genfranel_table(p, m, r, length)
+    _check_length(p, length)
+    if r < 1:
+        raise ValueError(f"power must be >= 1, got {r}")
+    # the exponent is not a residue, so one past 64 bits stays on pure
+    impl = pure if r >> 64 else _impl(m)
+    return impl.genfranel_table(p, m, r, length)
 
 
 def weighted_cube_table(p: int, m: int, w: int, length: int) -> list[int]:
-    return _impl(m).weighted_cube_table(p, m, w, length)
+    _check_length(p, length)
+    return _impl(m).weighted_cube_table(p, m, w % m, length)
 
 
 def triangle_weighted_sums(p: int, m: int) -> list[int]:

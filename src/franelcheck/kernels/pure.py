@@ -1,12 +1,15 @@
 """Pure-Python table kernels.
 
-Every function here has a compiled twin in ``_native``; the two must produce
-identical lists (the test suite compares them entry by entry).  This backend
-is also the only one used when the modulus exceeds the compiled backend's
-64-bit range.
+Every kernel here has a compiled twin in the C extension ``_native``; only
+the helper ``factorial_tables`` does not.  The two must produce identical
+lists (the test suite compares them entry by entry, and both against exact
+arithmetic).  This backend is also the only one used when the modulus
+exceeds the compiled backend's 64-bit range, and it is the reference the
+compiled kernels are tested against.
 
 Conventions shared by all kernels:
-  * ``p`` is an odd prime, ``m = p**e`` the modulus, inputs canonical in [0, m);
+  * ``p`` is an odd prime, ``m = p**e`` the modulus, inputs canonical in
+    [0, m) (the dispatcher in ``__init__`` reduces them);
   * table indices run k = 0..length-1 with length <= p, so every division
     that occurs is by an integer in 1..p-1 and hence invertible mod m.
 """

@@ -183,3 +183,30 @@ def test_worker_reports_identical(tmp_path, capsys):
         assert code == 0
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_missing_native_backend_warns_on_stderr_only(capsys, monkeypatch):
+    from franelcheck import kernels, modring, sequences
+
+    argv = ("verify", "--id", "C15,C19,T21_rx", "--primes", "5..13", "--format", "json")
+
+    def fresh_run():
+        # drop cached tables so the run rebuilds them on the backend now selected
+        sequences.get_context.cache_clear()
+        modring.ring_new.cache_clear()
+        return run_cli(capsys, *argv)
+
+    monkeypatch.setattr(kernels, "_FORCE_PURE", False)
+    code, report, _ = fresh_run()
+    assert code == 0
+
+    monkeypatch.setattr(kernels, "_FORCE_PURE", True)
+    code, forced, err = fresh_run()
+    assert code == 0 and forced == report and err == ""
+
+    monkeypatch.setattr(kernels, "_FORCE_PURE", False)
+    monkeypatch.setattr(kernels, "_native", None)
+    code, fallback, err = fresh_run()
+    assert code == 0 and fallback == report
+    assert err.count("\n") == 1 and "pure-Python backend" in err
+    assert "pure-Python" not in fallback

@@ -3,8 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from franelcheck import kernels
 from franelcheck.kernels import _native, pure
+from franelcheck.sequences import (
+    binom_exact,
+    franel_exact,
+    franel_poly_exact,
+    generalized_franel,
+)
 
 RINGS = [(5, 1), (5, 2), (7, 2), (11, 1), (13, 3), (17, 4), (23, 2), (31, 3)]
 
@@ -109,7 +118,6 @@ def test_triangle_weighted_sums_against_direct():
 def test_native_pure_parity(p, e):
     m = p**e
     assert _native.inverse_table(p, m, p - 1) == pure.inverse_table(p, m, p - 1)
-    assert _native.factorial_tables(p, m, p - 1) == pure.factorial_tables(p, m, p - 1)
     assert _native.franel_table(p, m, p) == pure.franel_table(p, m, p)
     assert _native.central_binom_table(p, m, p) == pure.central_binom_table(p, m, p)
     for rbar in (0, 2, m - 1, m // 2):
@@ -129,12 +137,132 @@ def test_native_parity_larger_prime():
     m = p * p
     assert _native.fpoly_table(p, m, 3, p) == pure.fpoly_table(p, m, 3, p)
     assert _native.triangle_weighted_sums(p, p**4) == pure.triangle_weighted_sums(p, p**4)
+    # the largest power of p below 2**63: products and sums use all 128 bits
+    m = p**7
+    assert m < kernels.NATIVE_MODULUS_LIMIT < m * p
+    assert _native.fpoly_table(p, m, m - 3, p) == pure.fpoly_table(p, m, m - 3, p)
+    assert _native.genfranel_table(p, m, 5, p) == pure.genfranel_table(p, m, 5, p)
+    assert _native.weighted_cube_table(p, m, m - 8, p) == pure.weighted_cube_table(p, m, m - 8, p)
+    assert _native.triangle_weighted_sums(p, m) == pure.triangle_weighted_sums(p, m)
 
 
-def test_dispatch_large_modulus_falls_back():
-    from franelcheck import kernels
+class _RefuseNative:
+    def __getattr__(self, name):
+        raise AssertionError(f"_native.{name} called past the native modulus range")
 
+
+def test_dispatch_large_modulus_falls_back(monkeypatch):
+    monkeypatch.setattr(kernels, "_native", _RefuseNative())
+    monkeypatch.setattr(kernels, "_FORCE_PURE", False)
+    assert kernels.backend_name(kernels.NATIVE_MODULUS_LIMIT - 1) == "native"
+    assert kernels.backend_name(kernels.NATIVE_MODULUS_LIMIT) == "pure"
     p = 2_000_003  # p^4 far beyond the 64-bit native range
     assert kernels.backend_name(p**4) == "pure"
     # table construction still works through the dispatcher
     assert kernels.franel_table(p, p**4, 3) == [1, 2, 10]
+    p = 55109  # the smallest prime whose fourth power reaches 2**63
+    m = p**4
+    assert kernels.NATIVE_MODULUS_LIMIT <= m < 2**64
+    assert kernels.fpoly_table(p, m, -1, 6) == [franel_poly_exact(n, -1) % m for n in range(6)]
+    assert kernels.weighted_cube_table(p, m, 2, 4) == [
+        sum(math.comb(n, k) ** 3 * 2**k for k in range(n + 1)) % m for n in range(4)
+    ]
+    # an exponent past 64 bits goes to pure even for a small modulus
+    p, m, r = 7, 343, 2**64 + 1
+    want = [sum(pow(math.comb(k, j), r, m) for j in range(k + 1)) % m for k in range(p)]
+    assert kernels.genfranel_table(p, m, r, p) == want
+
+
+def test_boundary_reduces_parameters_for_both_backends():
+    # a native backend used to raise OverflowError here and MemoryError for n < 0
+    p, m = 11, 121
+    assert kernels.weighted_cube_table(p, m, -8, p) == pure.weighted_cube_table(p, m, m - 8, p)
+    assert kernels.fpoly_table(p, m, -1, p) == pure.fpoly_table(p, m, m - 1, p)
+    big = 2**64 + 5
+    assert kernels.binom_shift_table(p, m, big, p) == pure.binom_shift_table(p, m, big % m, p)
+    for bad in (
+        lambda: kernels.inverse_table(p, m, -2),
+        lambda: kernels.inverse_table(p, m, p),
+        lambda: kernels.franel_table(p, m, -1),
+        lambda: kernels.central_binom_table(p, m, p + 1),
+        lambda: kernels.genfranel_table(p, m, 0, p),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+
+
+@needs_native
+def test_native_refuses_arguments_outside_its_range():
+    with pytest.raises(OverflowError):
+        _native.inverse_table(11, 121, -2)
+    with pytest.raises(OverflowError):
+        _native.fpoly_table(11, 121, 2**64, 11)
+    with pytest.raises(ValueError):
+        _native.inverse_table(11, 121, 11)
+    with pytest.raises(ValueError):
+        _native.franel_table(5, 25, 6)
+    with pytest.raises(ValueError):
+        _native.genfranel_table(5, 25, 0, 5)
+    for m in (0, 2**63):
+        with pytest.raises(ValueError):
+            _native.fpoly_table(5, m, 1, 3)
+    with pytest.raises(ValueError):  # 5 has no inverse mod 10
+        _native.central_binom_table(7, 10, 7)
+    with pytest.raises(MemoryError):  # the table size overflows before any allocation
+        _native.triangle_weighted_sums(2**62, 25)
+    with pytest.raises(TypeError):
+        _native.franel_table(5, 25)
+
+
+SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(p, m = p^e, lengths) with lengths 0, 1 and p always among them."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    e = draw(st.integers(1, 4))
+    return p, p**e, sorted({0, 1, p, draw(st.integers(0, p))})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    ring=kernel_inputs(),
+    param=st.integers(-3, 3) | st.integers(-(2**70), 2**70),
+    r=st.integers(1, 7),
+)
+def test_backends_agree_with_exact_arithmetic(ring, param, r):
+    """_native, pure and the dispatcher against exact integers, on any parameter."""
+    p, m, lengths = ring
+    backends = [pure] + ([_native] if _native is not None else [])
+
+    def agree(name, args, want):
+        # the dispatcher takes the raw parameter; the backends take it reduced
+        assert getattr(kernels, name)(p, m, *args) == want, name
+        reduced = [a % m for a in args[:-1]] + list(args[-1:])
+        for backend in backends:
+            assert getattr(backend, name)(p, m, *reduced) == want, (backend.__name__, name)
+
+    for length in lengths:
+        ks = range(length)
+        if length:
+            agree("inverse_table", (length - 1,),
+                  [0] + [pow(i, -1, m) for i in range(1, length)])
+        agree("franel_table", (length,), [franel_exact(k) % m for k in ks])
+        agree("central_binom_table", (length,), [math.comb(2 * k, k) % m for k in ks])
+        agree("binom_shift_table", (param, length), [binom_exact(k + param, k) % m for k in ks])
+        agree("fpoly_table", (param, length), [franel_poly_exact(k, param) % m for k in ks])
+        agree("weighted_cube_table", (param, length),
+              [sum(math.comb(k, j) ** 3 * param**j for j in range(k + 1)) % m for k in ks])
+        want = [generalized_franel(k, r) % m for k in ks]
+        assert kernels.genfranel_table(p, m, r, length) == want
+        for backend in backends:
+            assert backend.genfranel_table(p, m, r, length) == want, backend.__name__
+
+    want = [
+        math.comb(2 * k, k) * sum((2 * n + 1) * math.comb(n + k, 2 * k) for n in range(k, p)) % m
+        for k in range(p - 1)
+    ]
+    assert kernels.triangle_weighted_sums(p, m) == want
+    for backend in backends:
+        assert backend.triangle_weighted_sums(p, m) == want, backend.__name__
