@@ -20,8 +20,15 @@ same report rows as the built-in checks.  Grammar (EBNF):
 "-".  Unary minus binds looser than "^": -1^k is -(1^k).  Semantics: all
 arithmetic happens in the ambient ring mod p^e; "/" multiplies by the
 inverse and fails on non-invertible divisors; sum bounds and exponents are
-evaluated as exact integers (a residue-valued exponent is rejected, and a
-negative exponent must be a literal, meaning inverse-power).
+evaluated as exact integers (a residue-valued exponent is rejected, a
+negative exponent must be a literal, meaning inverse-power, and "/" must
+divide exactly, so "/" by zero there is an error too).
+
+Each statement is compiled once into closures over plain canonical ints
+mod p^e, which then run at each prime; tables come from the prime's
+PrimeContext, and binom(n,k) with 0 <= k <= n < 2p from its O(p) table of
+p-free factorials.  Evaluation errors are EvalError or NonInvertibleError,
+which eval_congruence turns into error rows.
 
 Builtins: binom(n,k), f(n), fx(n,x), fr(r,n), A(n), H(n), H2(n), q2(),
 jacobi(a,n), inv(a).
@@ -29,7 +36,10 @@ jacobi(a,n), inv(a).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Union
 
 from .modring import NonInvertibleError, PrimePowerRing, Residue, jacobi, ring_new
@@ -405,15 +415,352 @@ def unparse(node: CongruenceStmt | Ast) -> str:
     return _emit(node, _LEVEL_ADD)
 
 
-# --- evaluator ---------------------------------------------------------------
+# --- compiler ----------------------------------------------------------------
+#
+# compile_expr() walks an AST once and turns each node into a *maker*: a
+# function that takes the runtime of one evaluation (ring, tables, sum-index
+# slots) and returns the node's value as a canonical int when it is already
+# known at that prime (numbers, p, bindings, and arithmetic on them), or
+# else a zero-argument closure that computes it when it is reached.  Ring
+# values are canonical ints in [0, p^e); integer-context values (sum bounds,
+# exponents, builtin indices) are exact ints.  Evaluation order, and so the
+# first error raised, is the same as a walk of the tree from left to right.
 
 
 class _NotInteger(Exception):
     pass
 
 
+_DSL_ERRORS = (EvalError, NonInvertibleError, _NotInteger)
+
+
+class _Runtime:
+    """What one evaluation binds: the ring, its context, bindings, index slots."""
+
+    __slots__ = ("p", "e", "m", "ring", "ctx", "bindings", "slots", "ops", "tables")
+
+    def __init__(self, ring: PrimePowerRing, bindings: dict[str, Residue], nslots: int):
+        self.p, self.e, self.m = ring.p, ring.e, ring.modulus
+        self.ring = ring
+        self.ctx = get_context(ring.p)
+        self.bindings = bindings
+        self.slots = [0] * nslots
+        self.tables = {}
+        m = self.m
+        self.ops = {
+            "+": lambda x, y: (x + y) % m,
+            "-": lambda x, y: (x - y) % m,
+            "*": lambda x, y: x * y % m,
+            "/": lambda x, y: x * self.inv(y) % m,
+        }
+
+    def inv(self, x: int) -> int:
+        """The inverse mod p^e, by modring's one implementation of it."""
+        return self.ring.residue(x).inv().value
+
+    def table(self, name: str, *args):
+        """A PrimeContext table (or value) for this ring, fetched once."""
+        key = (name, *args)
+        try:
+            return self.tables[key]
+        except KeyError:
+            value = self.tables[key] = getattr(self.ctx, name)(self.e, *args)
+            return value
+
+
+def _apply(fn, *operands, costly: bool = False):
+    """fn over bound operands, evaluated left to right.
+
+    Constant operands are folded now unless fn is costly (calls, sums,
+    integer powers, which run only when reached); a fold that raises a
+    language error is left to raise again when the node is evaluated, so
+    errors keep their order.
+    """
+    if not costly and all(type(v) is int for v in operands):
+        try:
+            return fn(*operands)
+        except _DSL_ERRORS:
+            return lambda: fn(*operands)
+    if not operands:
+        return fn
+    if len(operands) == 1:
+        (a,) = operands
+        return (lambda: fn(a)) if type(a) is int else (lambda: fn(a()))
+    a, b = operands
+    if type(a) is int:
+        return (lambda: fn(a, b)) if type(b) is int else (lambda: fn(a, b()))
+    if type(b) is int:
+        return lambda: fn(a(), b)
+    return lambda: fn(a(), b())
+
+
+def _fail(exc_type, message: str):
+    def fail():
+        raise exc_type(message)
+
+    return fail
+
+
 def _is_negative_literal(node: Ast) -> bool:
     return isinstance(node, Neg) and isinstance(node.operand, Num)
+
+
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _int_div(a: int, b: int) -> int:
+    if b == 0:
+        raise _NotInteger(f"{a}/0 is a division by zero")
+    q, r = divmod(a, b)
+    if r:
+        raise _NotInteger(f"{a}/{b} is not an integer")
+    return q
+
+
+def _nonnegative(x: int) -> int:
+    if x < 0:
+        raise _NotInteger("negative exponent in integer context")
+    return x
+
+
+def _int(node: Ast, scope: dict[str, int]):
+    """Maker of the exact-integer value of node."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda rt: value
+    if isinstance(node, Var):
+        if node.name in scope:
+            s = scope[node.name]
+            return lambda rt: lambda slots=rt.slots: slots[s]
+        if node.name == "p":
+            return lambda rt: rt.p
+        fail = _fail(_NotInteger, f"variable {node.name!r} is not integer-valued here")
+        return lambda rt: fail
+    if isinstance(node, Neg):
+        operand = _int(node.operand, scope)
+        return lambda rt: _apply(operator.neg, operand(rt))
+    if isinstance(node, BinOp):
+        left, right = _int(node.left, scope), _int(node.right, scope)
+        if node.op == "^":  # the exponent is checked before the base is evaluated
+            return lambda rt: _apply(
+                lambda x, b: b**x, _apply(_nonnegative, right(rt)), left(rt), costly=True
+            )
+        fn = _INT_OPS.get(node.op, _int_div)
+        return lambda rt: _apply(fn, left(rt), right(rt))
+    fail = _fail(_NotInteger, "sums and calls are not integer expressions")
+    return lambda rt: fail
+
+
+def _int_arg(node: Ast, scope: dict[str, int], what: str):
+    """Maker of an integer argument; a non-integer value is an EvalError."""
+    make = _int(node, scope)
+
+    def guarded(rt):
+        value = make(rt)
+        if type(value) is int:
+            return value
+
+        def run():
+            try:
+                return value()
+            except _NotInteger as exc:
+                raise EvalError(f"{what}: {exc}") from None
+
+        return run
+
+    return guarded
+
+
+def _ring(node: Ast, scope: dict[str, int], slots: itertools.count):
+    """Maker of the value of node mod p^e; scope maps sum indices to slots."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda rt: value % rt.m
+    if isinstance(node, Var):
+        return _ring_var(node.name, scope)
+    if isinstance(node, Neg):
+        operand = _ring(node.operand, scope, slots)
+        return lambda rt: _apply(lambda x, m=rt.m: -x % m, operand(rt))
+    if isinstance(node, Sum):
+        return _ring_sum(node, scope, slots)
+    if isinstance(node, Call):
+        return _ring_call(node, scope, slots)
+    if node.op == "^":
+        return _ring_pow(node, scope, slots)
+    left, right = _ring(node.left, scope, slots), _ring(node.right, scope, slots)
+    op = node.op
+    return lambda rt: _apply(rt.ops[op], left(rt), right(rt))
+
+
+def _ring_var(name: str, scope: dict[str, int]):
+    if name in scope:
+        s = scope[name]
+        return lambda rt: lambda slots=rt.slots, m=rt.m: slots[s] % m
+    if name == "p":
+        return lambda rt: rt.p % rt.m
+
+    def binding(rt):
+        if name not in rt.bindings:
+            return _fail(EvalError, f"unbound variable {name!r}")
+        r = rt.bindings[name]
+        if r.ring != rt.ring:
+            return _fail(EvalError, f"binding {name!r} lives in {r.ring}, not {rt.ring}")
+        return r.value
+
+    return binding
+
+
+def _ring_pow(node: BinOp, scope: dict[str, int], slots: itertools.count):
+    exponent = _int_arg(node.right, scope, "exponent must be an integer expression")
+    base = _ring(node.left, scope, slots)
+    literal = _is_negative_literal(node.right)
+
+    def make(rt):
+        m, inv = rt.m, rt.inv
+
+        def power(x, b):
+            if x >= 0:
+                return pow(b, x, m)
+            if not literal:
+                raise EvalError("negative exponent must be a literal (inverse-power)")
+            return pow(inv(b), -x, m)
+
+        return _apply(power, exponent(rt), base(rt))
+
+    return make
+
+
+def _ring_sum(node: Sum, scope: dict[str, int], slots: itertools.count):
+    what = "sum bound is not an exact integer"
+    lower = _int_arg(node.lower, scope, what)
+    upper = _int_arg(node.upper, scope, what)
+    s = next(slots)
+    body = _ring(node.body, {**scope, node.index: s}, slots)
+
+    def make(rt):
+        m, index = rt.m, rt.slots
+        term = body(rt)
+        if type(term) is int:
+            return _apply(lambda lo, hi: term * max(0, hi - lo + 1) % m, lower(rt), upper(rt))
+
+        def total(lo, hi):
+            acc = 0
+            for i in range(lo, hi + 1):
+                index[s] = i
+                acc += term()
+            return acc % m
+
+        return _apply(total, lower(rt), upper(rt), costly=True)
+
+    return make
+
+
+def _binom(rt: _Runtime, n: int, k: int) -> int:
+    if k < 0:
+        raise EvalError(f"binom() lower argument must be >= 0, got {k}")
+    if not 0 <= n < 2 * rt.p:
+        return binom_exact(n, k) % rt.m
+    return rt.table("small_binom")(n, k) if k <= n else 0
+
+
+def _franel(rt: _Runtime, n: int) -> int:
+    if n < 0:
+        raise EvalError(f"f() index must be >= 0, got {n}")
+    return rt.table("franel")[n] if n < rt.p else franel_exact(n) % rt.m
+
+
+def _fx_index(rt: _Runtime, n: int) -> int:
+    if not 0 <= n < rt.p:
+        raise EvalError(f"fx() index must be in 0..p-1, got {n}")
+    return n
+
+
+def _fpoly(rt: _Runtime, n: int, x: int) -> int:
+    return rt.table("fpoly", x)[n]
+
+
+def _genfranel(rt: _Runtime, r: int, n: int) -> int:
+    if r < 1:
+        raise EvalError(f"fr() power must be >= 1, got {r}")
+    if n < 0:
+        raise EvalError(f"fr() index must be >= 0, got {n}")
+    return rt.table("genfranel", r)[n] if n < rt.p else generalized_franel(n, r) % rt.m
+
+
+def _apery(rt: _Runtime, n: int) -> int:
+    if n < 0:
+        raise EvalError(f"A() index must be >= 0, got {n}")
+    return _apery_cached(n) % rt.m
+
+
+def _harmonic(order: int, rt: _Runtime, n: int) -> int:
+    if n < 0:
+        raise EvalError(f"harmonic index must be >= 0, got {n}")
+    if n >= rt.p:
+        raise NonInvertibleError(f"harmonic number at {n} >= p has a non-invertible term")
+    return rt.table("harmonic", order)[n]
+
+
+def _q2(rt: _Runtime) -> int:
+    if rt.e > 3:
+        raise EvalError("q2() needs ring exponent <= 3")
+    return rt.table("q2")
+
+
+def _jacobi(rt: _Runtime, a: int, n: int) -> int:
+    try:
+        return jacobi(a, n) % rt.m
+    except ValueError as exc:
+        raise EvalError(str(exc)) from None
+
+
+#: builtin -> (its function of the runtime and the argument values, what
+#: each argument is: the name used in its error messages, or None for a
+#: ring-valued argument)
+_CALLS = {
+    "binom": (_binom, ("binom() upper argument", "binom() lower argument")),
+    "f": (_franel, ("f() index",)),
+    "fx": (_fpoly, ("fx() index", None)),
+    "fr": (_genfranel, ("fr() power", "fr() index")),
+    "A": (_apery, ("A() index",)),
+    "H": (partial(_harmonic, 1), ("harmonic index",)),
+    "H2": (partial(_harmonic, 2), ("harmonic index",)),
+    "q2": (_q2, ()),
+    "jacobi": (_jacobi, ("jacobi() numerator", "jacobi() denominator")),
+    "inv": (_Runtime.inv, (None,)),
+}
+
+
+def _ring_call(node: Call, scope: dict[str, int], slots: itertools.count):
+    if node.name not in _CALLS:  # unreachable after parse
+        fail = _fail(EvalError, f"unknown function {node.name!r}")
+        return lambda rt: fail
+    fn, kinds = _CALLS[node.name]
+    args = [
+        _ring(arg, scope, slots)
+        if what is None
+        else _int_arg(arg, scope, f"{what} must be an integer expression")
+        for arg, what in zip(node.args, kinds)
+    ]
+    if node.name == "fx":  # the index is range-checked before x is evaluated
+        index = args[0]
+        args[0] = lambda rt: _apply(partial(_fx_index, rt), index(rt))
+    return lambda rt: _apply(partial(fn, rt), *(arg(rt) for arg in args), costly=True)
+
+
+@lru_cache(maxsize=64)
+def compile_expr(ast: Ast):
+    """Compile an expression once; the result maps (ring, bindings) to the
+    canonical value mod p^e, raising EvalError or NonInvertibleError."""
+    slots = itertools.count()
+    make = _ring(ast, {}, slots)
+    nslots = next(slots)
+
+    def run(ring: PrimePowerRing, bindings: dict[str, Residue] | None = None) -> int:
+        value = make(_Runtime(ring, bindings or {}, nslots))
+        return value if type(value) is int else value()
+
+    return run
 
 
 def eval_expr(
@@ -421,167 +768,7 @@ def eval_expr(
 ) -> Residue:
     """Evaluate an expression in the given ring.  ``p`` is bound to the
     ring's prime; sum indices are bound as integers during iteration."""
-    bindings = bindings or {}
-    p = ring.p
-    e = ring.e
-    m = ring.modulus
-    ctx = get_context(p)
-
-    def ring_eval(node: Ast, idx: dict[str, int]) -> Residue:
-        if isinstance(node, Num):
-            return ring.residue(node.value)
-        if isinstance(node, Var):
-            if node.name in idx:
-                return ring.residue(idx[node.name])
-            if node.name == "p":
-                return ring.residue(p)
-            if node.name in bindings:
-                r = bindings[node.name]
-                if r.ring != ring:
-                    raise EvalError(f"binding {node.name!r} lives in {r.ring}, not {ring}")
-                return r
-            raise EvalError(f"unbound variable {node.name!r}")
-        if isinstance(node, Neg):
-            return -ring_eval(node.operand, idx)
-        if isinstance(node, Sum):
-            try:
-                lo = int_eval(node.lower, idx)
-                hi = int_eval(node.upper, idx)
-            except _NotInteger as exc:
-                raise EvalError(f"sum bound is not an exact integer: {exc}") from None
-            acc = ring.residue(0)
-            shadow = node.index in idx
-            saved = idx.get(node.index)
-            for i in range(lo, hi + 1):
-                idx[node.index] = i
-                acc = acc + ring_eval(node.body, idx)
-            if shadow:
-                idx[node.index] = saved
-            else:
-                idx.pop(node.index, None)
-            return acc
-        if isinstance(node, Call):
-            return call_eval(node, idx)
-        # BinOp
-        if node.op == "^":
-            try:
-                exponent = int_eval(node.right, idx)
-            except _NotInteger as exc:
-                raise EvalError(f"exponent must be an integer expression: {exc}") from None
-            base = ring_eval(node.left, idx)
-            if exponent < 0:
-                if not _is_negative_literal(node.right):
-                    raise EvalError("negative exponent must be a literal (inverse-power)")
-                return base.inv() ** (-exponent)
-            return base**exponent
-        a = ring_eval(node.left, idx)
-        b = ring_eval(node.right, idx)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b  # may raise NonInvertibleError
-
-    def int_eval(node: Ast, idx: dict[str, int]) -> int:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            if node.name in idx:
-                return idx[node.name]
-            if node.name == "p":
-                return p
-            raise _NotInteger(f"variable {node.name!r} is not integer-valued here")
-        if isinstance(node, Neg):
-            return -int_eval(node.operand, idx)
-        if isinstance(node, BinOp):
-            if node.op == "^":
-                ex = int_eval(node.right, idx)
-                if ex < 0:
-                    raise _NotInteger("negative exponent in integer context")
-                return int_eval(node.left, idx) ** ex
-            a = int_eval(node.left, idx)
-            b = int_eval(node.right, idx)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            q, r = divmod(a, b)
-            if r:
-                raise _NotInteger(f"{a}/{b} is not an integer")
-            return q
-        raise _NotInteger("sums and calls are not integer expressions")
-
-    def int_arg(node: Ast, idx: dict[str, int], what: str) -> int:
-        try:
-            return int_eval(node, idx)
-        except _NotInteger as exc:
-            raise EvalError(f"{what} must be an integer expression: {exc}") from None
-
-    def call_eval(node: Call, idx: dict[str, int]) -> Residue:
-        name = node.name
-        if name == "binom":
-            n = int_arg(node.args[0], idx, "binom() upper argument")
-            k = int_arg(node.args[1], idx, "binom() lower argument")
-            if k < 0:
-                raise EvalError(f"binom() lower argument must be >= 0, got {k}")
-            return ring.residue(binom_exact(n, k))
-        if name == "f":
-            n = int_arg(node.args[0], idx, "f() index")
-            if n < 0:
-                raise EvalError(f"f() index must be >= 0, got {n}")
-            if n < p:
-                return ring.residue(ctx.franel(e)[n])
-            return ring.residue(franel_exact(n))
-        if name == "fx":
-            n = int_arg(node.args[0], idx, "fx() index")
-            if not 0 <= n < p:
-                raise EvalError(f"fx() index must be in 0..p-1, got {n}")
-            x = ring_eval(node.args[1], idx)
-            return ring.residue(ctx.fpoly(e, x.value)[n])
-        if name == "fr":
-            r = int_arg(node.args[0], idx, "fr() power")
-            n = int_arg(node.args[1], idx, "fr() index")
-            if r < 1:
-                raise EvalError(f"fr() power must be >= 1, got {r}")
-            if n < 0:
-                raise EvalError(f"fr() index must be >= 0, got {n}")
-            if n < p:
-                return ring.residue(ctx.genfranel(e, r)[n])
-            return ring.residue(generalized_franel(n, r))
-        if name == "A":
-            n = int_arg(node.args[0], idx, "A() index")
-            if n < 0:
-                raise EvalError(f"A() index must be >= 0, got {n}")
-            return ring.residue(_apery_cached(n))
-        if name in ("H", "H2"):
-            n = int_arg(node.args[0], idx, "harmonic index")
-            if n < 0:
-                raise EvalError(f"harmonic index must be >= 0, got {n}")
-            if n >= p:
-                raise NonInvertibleError(
-                    f"harmonic number at {n} >= p has a non-invertible term"
-                )
-            return ring.residue(ctx.harmonic(e, 1 if name == "H" else 2)[n])
-        if name == "q2":
-            if e > 3:
-                raise EvalError("q2() needs ring exponent <= 3")
-            return ring.residue(ctx.q2(e))
-        if name == "jacobi":
-            a = int_arg(node.args[0], idx, "jacobi() numerator")
-            n = int_arg(node.args[1], idx, "jacobi() denominator")
-            try:
-                return ring.residue(jacobi(a, n))
-            except ValueError as exc:
-                raise EvalError(str(exc)) from None
-        if name == "inv":
-            return ring_eval(node.args[0], idx).inv()
-        raise EvalError(f"unknown function {name!r}")  # unreachable after parse
-
-    return ring_eval(ast, {})
+    return ring.residue(compile_expr(ast)(ring, bindings))
 
 
 def eval_congruence(
@@ -589,20 +776,21 @@ def eval_congruence(
 ) -> Report:
     """Evaluate a parsed congruence statement at each prime.
 
-    Evaluation errors (non-invertible division, bad bounds) become error
-    rows, distinct from failures.
+    Both sides are compiled once.  Evaluation errors (non-invertible
+    division, bad bounds) become error rows, distinct from failures.
     """
     if not isinstance(stmt, CongruenceStmt):
         raise ValueError("statement has no modulus; use eval_expr for bare expressions")
     primes = sorted(set(primes))
     if not primes:
         raise ValueError("no primes in range")
+    lhs_of, rhs_of = compile_expr(stmt.lhs), compile_expr(stmt.rhs)
     rows = []
     for p in primes:
         ring = ring_new(p, stmt.modulus_exponent)
         try:
-            lhs = eval_expr(stmt.lhs, ring).value
-            rhs = eval_expr(stmt.rhs, ring).value
+            lhs = lhs_of(ring)
+            rhs = rhs_of(ring)
             rows.append(
                 CheckResult(
                     check_id=check_id,

@@ -216,6 +216,41 @@ def _power_list(ring: PrimePowerRing, base: int | Fraction, length: int) -> list
     return out
 
 
+def small_binom_function(ring: PrimePowerRing):
+    """binom(n, k) mod p^e for 0 <= k <= n < 2p, as a function.
+
+    Built once in O(p): the p-free factorials u(n) = n!/p^v(n) mod p^e,
+    their inverses and the valuations v(n) of n!.  Then
+    binom(n, k) = p^s u(n) u(k)^-1 u(n-k)^-1 with s = v(n) - v(k) - v(n-k),
+    which is 0 mod p^e when s >= e.
+    """
+    p, e, m = ring.p, ring.e, ring.modulus
+    size = 2 * p
+    unit = list(range(size))  # n with its factors p removed
+    u = [1] * size
+    v = [0] * size
+    for n in range(1, size):
+        s = 0
+        while unit[n] % p == 0:
+            unit[n] //= p
+            s += 1
+        u[n] = u[n - 1] * unit[n] % m
+        v[n] = v[n - 1] + s
+    u_inv = [1] * size
+    u_inv[-1] = pow(u[-1], -1, m)
+    for n in range(size - 1, 0, -1):
+        u_inv[n - 1] = u_inv[n] * unit[n] % m
+    p_pow = [p**s for s in range(e)]
+
+    def binom(n: int, k: int) -> int:
+        s = v[n] - v[k] - v[n - k]
+        if s >= e:
+            return 0
+        return p_pow[s] * u[n] * u_inv[k] * u_inv[n - k] % m
+
+    return binom
+
+
 @lru_cache(maxsize=4096)
 def _apery_cached(n: int) -> int:
     return apery_exact(n)
@@ -293,6 +328,10 @@ class PrimeContext:
         ring = self.ring(e)
         bv = _as_residue_value(ring, base)
         return self._get(("pow", e, bv), lambda: _power_list(ring, bv, self.p))
+
+    def small_binom(self, e: int):
+        """binom(n, k) mod p^e for 0 <= k <= n < 2p (see small_binom_function)."""
+        return self._get(("small_binom", e), lambda: small_binom_function(self.ring(e)))
 
     def q2(self, e: int) -> int:
         """Fermat quotient of 2 as a canonical value mod p^e."""

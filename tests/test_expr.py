@@ -1,6 +1,10 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from franelcheck.expr import (
     BinOp,
@@ -19,6 +23,7 @@ from franelcheck.expr import (
 )
 from franelcheck.modring import NonInvertibleError, ring_new
 from franelcheck.primes import primes_in_range
+from franelcheck.sequences import binom_exact, franel_exact
 from franelcheck.suite import run_suite
 
 
@@ -113,8 +118,39 @@ def test_eval_errors():
         eval_expr(parse("sum(k=1/2..3, k)"), r53)  # non-integer bound
     with pytest.raises(NonInvertibleError):
         eval_expr(parse("H(p)"), r53)
+    with pytest.raises(NonInvertibleError, match="^120 is divisible by p=5 in PrimePowerRing"):
+        eval_expr(parse("sum(k=0-p..0-p, 1/k)"), r53)  # residues are canonical
     with pytest.raises(EvalError):
         eval_expr(parse("binom(p, q2())"), r53)
+    # an integer power checks its exponent before it evaluates its base
+    with pytest.raises(EvalError, match="negative exponent in integer context$"):
+        eval_expr(parse("sum(k=1..x^(0-1), 1)"), r53)
+
+
+def test_integer_division_by_zero_is_an_error_row():
+    cases = {
+        "sum(k=1..p/0, 1) ≡ 0 (mod p^1)": "sum bound is not an exact integer: {p}/0",
+        "2^(1/0) ≡ 0 (mod p^1)": "exponent must be an integer expression: 1/0",
+    }
+    for text, message in cases.items():
+        rep = eval_congruence(parse(text), [5, 7])
+        assert [r.prime for r in rep.rows] == [5, 7]
+        for row in rep.rows:
+            assert row.error == message.format(p=row.prime) + " is a division by zero"
+        assert rep.exit_code() == 1
+
+
+def test_binom_outside_the_table_matches_binom_exact():
+    for p in (5, 7):
+        for e in (1, 3):
+            ring = ring_new(p, e)
+            for n in list(range(-2 * p, 0)) + list(range(2 * p, 3 * p + 2)):
+                for k in range(0, 3 * p + 3, 2):
+                    got = eval_expr(Call("binom", (Num(n), Num(k))), ring).value
+                    assert got == binom_exact(n, k) % p**e, (p, e, n, k)
+            # inside the table, including k > n
+            assert eval_expr(parse("binom(2*p-1, 2*p)"), ring).value == 0
+            assert eval_expr(parse("binom(2*p-1, p)"), ring).value == math.comb(2 * p - 1, p) % p**e
 
 
 def test_eval_with_bindings():
@@ -129,8 +165,18 @@ def test_sum_bounds_integer_domain():
     ring = ring_new(13, 1)
     # (p-1)/2 is an exact integer bound
     assert eval_expr(parse("sum(k=1..(p-1)/2, 1)"), ring).value == 6
-    # empty sum
+    # empty sums, also with a constant body
     assert eval_expr(parse("sum(k=3..2, f(k))"), ring).value == 0
+    assert eval_expr(parse("sum(k=3..1, 5)"), ring).value == 0
+    # an inner sum whose body reads an enclosing index, with constant or
+    # folded or integer-power bounds, is summed again for each outer index
+    assert eval_expr(parse("sum(k=1..3, sum(j=1..2, k))"), ring).value == 12
+    assert eval_expr(parse("sum(k=1..3, sum(j=2^0..2^1, k))"), ring).value == 12
+    assert eval_expr(parse("sum(k=1..3, sum(j=0+1..4/2, k))"), ring).value == 12
+    assert eval_expr(parse("sum(k=1..3, sum(j=1..2, j) * k)"), ring).value == 18 % 13
+    assert eval_expr(parse("sum(k=1..3, sum(j=1..2, sum(i=0..1, k + i)))"), ring).value == 30 % 13
+    # an inner index shadows the outer one only inside the inner sum
+    assert eval_expr(parse("sum(k=1..3, sum(k=k..3, k) * k)"), ring).value == 25 % 13
 
 
 def test_eval_congruence_matches_builtin_rows():
@@ -233,3 +279,174 @@ def test_unparse_parse_roundtrip_1000_random_asts():
         assert parse(text) == ast, f"case {i}: {text}"
         stmt = CongruenceStmt(ast, _random_ast(rng, depth=3, scope=["p"]), rng.randrange(1, 5))
         assert parse(unparse(stmt)) == stmt
+
+
+# --- generated ASTs: round trip, and the compiler against an exact oracle ------
+
+_INDICES = ("i", "j", "k")
+
+
+def _int_leaves(scope):
+    leaves = [st.builds(Num, st.integers(0, 6)), st.just(Var("p"))]
+    if scope:
+        leaves.append(st.sampled_from([Var(name) for name in scope]))
+    return st.one_of(leaves)
+
+
+def _small_ints(scope, depth):
+    """Integer-context expressions with small values, some inexact or negative."""
+    leaf = _int_leaves(scope)
+    if depth == 0:
+        return leaf
+    sub = _small_ints(scope, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+        st.builds(BinOp, st.just("/"), sub, st.builds(Num, st.integers(0, 3))),
+    )
+
+
+def _bounds(scope):
+    leaf = _int_leaves(scope)
+    return st.one_of(
+        leaf,
+        st.builds(BinOp, st.sampled_from("+-"), leaf, st.builds(Num, st.integers(0, 3))),
+        st.builds(BinOp, st.just("/"), leaf, st.builds(Num, st.integers(0, 2))),
+        st.builds(
+            BinOp,
+            st.just("^"),
+            leaf,
+            st.one_of(st.builds(Num, st.integers(0, 1)), st.just(Neg(Num(1)))),
+        ),
+    )
+
+
+def _exponents(scope):
+    options = [st.builds(Num, st.integers(0, 4)), st.builds(Neg, st.builds(Num, st.integers(0, 3)))]
+    if scope:
+        index = st.sampled_from([Var(name) for name in scope])
+        options += [index, st.builds(BinOp, st.just("-"), index, st.builds(Num, st.integers(0, 3)))]
+    return st.one_of(options)
+
+
+@st.composite
+def _asts(draw, scope=(), depth=3):
+    """Ring-valued ASTs over Num, p, sum indices, + - * / ^, sum, binom and f."""
+    kinds = ["leaf"] if depth == 0 else ["leaf", "neg", "arith", "pow", "sum", "sum", "binom", "f"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        leaves = [_int_leaves(scope), st.builds(Num, st.integers(7, 40))]
+        if scope:  # favour indices, including those of enclosing sums
+            leaves.append(st.sampled_from([Var(name) for name in scope]))
+        return draw(st.one_of(leaves))
+    if kind == "neg":
+        return Neg(draw(_asts(scope, depth - 1)))
+    if kind == "arith":
+        op = draw(st.sampled_from("+-*/"))
+        return BinOp(op, draw(_asts(scope, depth - 1)), draw(_asts(scope, depth - 1)))
+    if kind == "pow":
+        return BinOp("^", draw(_asts(scope, depth - 1)), draw(_exponents(scope)))
+    if kind == "sum":
+        index = draw(st.sampled_from(_INDICES))
+        # constant bounds half of the time, also for a sum inside a sum
+        bound_scope = draw(st.sampled_from([scope, ()]))
+        lower, upper = draw(_bounds(bound_scope)), draw(_bounds(bound_scope))
+        return Sum(index, lower, upper, draw(_asts(scope + (index,), depth - 1)))
+    if kind == "binom":
+        return Call("binom", (draw(_small_ints(scope, 2)), draw(_small_ints(scope, 1))))
+    return Call("f", (draw(_small_ints(scope, 1)),))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lhs=_asts(), rhs=_asts(depth=2), e=st.integers(1, 4))
+def test_parse_unparse_roundtrip(lhs, rhs, e):
+    assert parse(unparse(lhs)) == lhs
+    stmt = CongruenceStmt(lhs, rhs, e)
+    assert parse(unparse(stmt)) == stmt
+
+
+class _Undefined(Exception):
+    pass
+
+
+def _exact_int(node, p, env):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return env.get(node.name, p)
+    if isinstance(node, Neg):
+        return -_exact_int(node.operand, p, env)
+    if not isinstance(node, BinOp):
+        raise _Undefined("sums and calls are not integers")
+    a, b = _exact_int(node.left, p, env), _exact_int(node.right, p, env)
+    if node.op == "^":
+        if b < 0:
+            raise _Undefined("negative exponent")
+        return a**b
+    if node.op == "/":
+        if b == 0 or a % b:
+            raise _Undefined("inexact division")
+        return a // b
+    return {"+": a + b, "-": a - b, "*": a * b}[node.op]
+
+
+def _exact(node, p, env):
+    """The value of node over the rationals; _Undefined where the ring has
+    none: a divisor of positive p-adic valuation, or an invalid argument."""
+
+    def unit(x):
+        if x.numerator % p == 0:
+            raise _Undefined(f"{x} is not a p-adic unit")
+        return x
+
+    if isinstance(node, (Num, Var)):
+        return Fraction(_exact_int(node, p, env))
+    if isinstance(node, Neg):
+        return -_exact(node.operand, p, env)
+    if isinstance(node, Sum):
+        lo, hi = _exact_int(node.lower, p, env), _exact_int(node.upper, p, env)
+        return sum((_exact(node.body, p, {**env, node.index: i}) for i in range(lo, hi + 1)), Fraction(0))
+    if isinstance(node, Call):
+        args = [_exact_int(arg, p, env) for arg in node.args]
+        if min(args[-1:]) < 0:
+            raise _Undefined("negative argument")
+        return Fraction(binom_exact(*args) if node.name == "binom" else franel_exact(*args))
+    a = _exact(node.left, p, env)
+    if node.op == "^":
+        x = _exact_int(node.right, p, env)
+        if x >= 0:
+            return a**x
+        if not (isinstance(node.right, Neg) and isinstance(node.right.operand, Num)):
+            raise _Undefined("negative exponent that is not a literal")
+        return unit(a) ** x
+    b = _exact(node.right, p, env)
+    if node.op == "/":
+        return a / unit(b)
+    return {"+": a + b, "-": a - b, "*": a * b}[node.op]
+
+
+@st.composite
+def _nested_sums(draw):
+    """A sum over a few outer indices of a sum whose bounds are fixed at the
+    prime and whose body reads the outer index."""
+    outer = draw(st.sampled_from(_INDICES))
+    inner = draw(st.sampled_from([name for name in _INDICES if name != outer]))
+    lower, upper = draw(_bounds(())), draw(_bounds(()))
+    term = draw(_asts((outer, inner), depth=1))
+    body = BinOp(draw(st.sampled_from("+*")), Var(outer), term)
+    first, last = draw(st.integers(0, 2)), draw(st.integers(2, 4))
+    return Sum(outer, Num(first), Num(last), Sum(inner, lower, upper, body))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(ast=st.one_of(_asts(), _nested_sums()), p=st.sampled_from([5, 7, 11]), e=st.integers(1, 4))
+def test_compiled_evaluator_matches_exact_arithmetic(ast, p, e):
+    m = p**e
+    try:
+        want = _exact(ast, p, {})
+    except _Undefined:
+        with pytest.raises((EvalError, NonInvertibleError)):
+            eval_expr(ast, ring_new(p, e))
+        return
+    assert eval_expr(ast, ring_new(p, e)).value == want.numerator * pow(want.denominator, -1, m) % m

@@ -184,3 +184,12 @@ def test_prime_context_caches_tables():
     assert ctx.fpoly(2, 2) is ctx.fpoly(2, 2)
     assert ctx.jacobi3 == 1
     assert get_context(13) is ctx
+
+
+def test_small_binom_table_is_exact():
+    for p in primes_in_range(3, 13):
+        for e in range(1, 5):
+            binom = get_context(p).small_binom(e)
+            for n in range(2 * p):
+                for k in range(n + 1):
+                    assert binom(n, k) == math.comb(n, k) % p**e, (p, e, n, k)
