@@ -33,20 +33,13 @@ from .primes import is_prime, primes_in_range
 from .report import CheckResult, Report
 from .sequences import (
     PrimeContext,
-    SequenceTable,
     apery_exact,
     binom_exact,
-    binom_shift_table,
-    central_binom_table,
     franel_exact,
     franel_exact_list,
-    franel_mod_table,
     franel_poly_exact,
-    franel_poly_mod_table,
     generalized_franel,
-    genfranel_mod_table,
     get_context,
-    harmonic_table,
 )
 from .suite import REGISTRY, check_ids, run_check, run_suite
 
@@ -66,11 +59,8 @@ __all__ = [
     "Residue",
     "RingMismatchError",
     "ScanInconsistencyError",
-    "SequenceTable",
     "apery_exact",
     "binom_exact",
-    "binom_shift_table",
-    "central_binom_table",
     "check_3adic_integrality",
     "check_ids",
     "cornacchia_x2_3y2",
@@ -78,14 +68,10 @@ __all__ = [
     "fermat_quotient2",
     "franel_exact",
     "franel_exact_list",
-    "franel_mod_table",
     "franel_poly_exact",
-    "franel_poly_mod_table",
     "from_rational",
     "generalized_franel",
-    "genfranel_mod_table",
     "get_context",
-    "harmonic_table",
     "inv",
     "is_prime",
     "jacobi",

@@ -360,7 +360,12 @@ class _Parser:
 
 def parse(text: str) -> CongruenceStmt | Ast:
     """Parse a congruence statement or bare expression."""
-    return _Parser(_tokenize(text)).statement()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.statement()
+    except RecursionError:
+        tok = parser.cur
+        raise ParseError("expression nests too deeply", tok.line, tok.col) from None
 
 
 # --- printer -----------------------------------------------------------------

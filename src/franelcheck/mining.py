@@ -125,13 +125,7 @@ def scan_ar(r: int, primes: list[int]) -> MomentConstant:
     residues: dict[int, int] = {}
     for p in used:
         m2 = p * p
-        ctx = get_context(p)
-        fr = ctx.franel(2)
-        s = 0
-        sign = 1
-        for k in range(p):
-            s += sign * pow(k, r, m2) * fr[k]
-            sign = -sign
+        s = get_context(p).alternating_moment(2, r)
         residues[p] = s * pow(3, 2 * r - 1, m2) % m2 * pow(2, -1, m2) % m2 * jacobi(p, 3) % m2
 
     def lift(p: int) -> int:

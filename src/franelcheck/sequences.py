@@ -1,16 +1,14 @@
 """Generators for the sequences under test, exact and modulo prime powers.
 
 Exact generators work on Python's arbitrary-precision integers and serve as
-oracles for the modular tables, which are built by the kernel backend
-(compiled when available).  A modular table is a plain list of canonical
-residues indexed k = 0..len-1; SequenceTable wraps one with its ring and a
-tag describing what it holds.
+oracles for the modular tables.  Those are built and memoized per prime by
+PrimeContext, through the kernel backend (compiled when available); a
+modular table is a plain list of canonical residues indexed k = 0..p-1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -104,99 +102,6 @@ def generalized_franel(n: int, r: int) -> int:
     return sum(math.comb(n, j) ** r for j in range(n + 1))
 
 
-@dataclass
-class SequenceTable:
-    """A per-ring vector of canonical residues for one sequence."""
-
-    ring: PrimePowerRing
-    values: list[int]
-    kind: str
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def residue(self, k: int) -> Residue:
-        return self.ring.residue(self.values[k])
-
-
-def _check_len(ring: PrimePowerRing, length: int) -> None:
-    if length > ring.p:
-        raise ValueError(f"table length {length} exceeds p={ring.p}")
-
-
-def franel_mod_table(ring: PrimePowerRing, length: int) -> SequenceTable:
-    """f_0..f_{length-1} mod p^e via the recurrence; length <= p."""
-    _check_len(ring, length)
-    vals = kernels.franel_table(ring.p, ring.modulus, length)
-    return SequenceTable(ring, vals, "franel")
-
-
-def central_binom_table(ring: PrimePowerRing, length: int) -> SequenceTable:
-    """binom(2k,k) mod p^e; entries with k > (p-1)/2 are divisible by p but
-    still carry information mod p^e."""
-    _check_len(ring, length)
-    vals = kernels.central_binom_table(ring.p, ring.modulus, length)
-    return SequenceTable(ring, vals, "central_binom")
-
-
-def franel_poly_mod_table(
-    ring: PrimePowerRing, x: int | Fraction | Residue, length: int
-) -> SequenceTable:
-    """Table of the cubed-row polynomials evaluated at x, l = 0..length-1."""
-    _check_len(ring, length)
-    xv = _as_residue_value(ring, x)
-    vals = kernels.fpoly_table(ring.p, ring.modulus, xv, length)
-    return SequenceTable(ring, vals, f"fpoly(x={x})")
-
-
-def binom_shift_table(
-    ring: PrimePowerRing, r: Fraction | int, length: int
-) -> SequenceTable:
-    """binom(k+r,k) mod p^e for a rational r with p-coprime denominator."""
-    _check_len(ring, length)
-    rbar = ring.from_rational(Fraction(r)).value
-    vals = kernels.binom_shift_table(ring.p, ring.modulus, rbar, length)
-    return SequenceTable(ring, vals, f"binom_shift(r={r})")
-
-
-def genfranel_mod_table(ring: PrimePowerRing, r: int, length: int) -> SequenceTable:
-    """Row sums of r-th binomial powers mod p^e.
-
-    r = 1, 2, 3 have closed forms (2^k, central binomials, cubed-row sums)
-    and reuse those tables; the general kernel handles any r.
-    """
-    _check_len(ring, length)
-    if r == 1:
-        vals = _power_list(ring, 2, length)
-    elif r == 2:
-        vals = kernels.central_binom_table(ring.p, ring.modulus, length)
-    elif r == 3:
-        vals = kernels.franel_table(ring.p, ring.modulus, length)
-    else:
-        vals = kernels.genfranel_table(ring.p, ring.modulus, r, length)
-    return SequenceTable(ring, vals, f"genfranel(r={r})")
-
-
-def harmonic_table(ring: PrimePowerRing, n_max: int, order: int = 1) -> SequenceTable:
-    """Partial sums of 1/k (order 1) or 1/k^2 (order 2), n = 0..n_max < p."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if not 0 <= n_max < ring.p:
-        raise ValueError(f"n_max must be in 0..p-1, got {n_max}")
-    m = ring.modulus
-    inv = ring.inv_table
-    vals = [0] * (n_max + 1)
-    acc = 0
-    for k in range(1, n_max + 1):
-        term = inv[k] if order == 1 else inv[k] * inv[k] % m
-        acc = (acc + term) % m
-        vals[k] = acc
-    return SequenceTable(ring, vals, f"harmonic(order={order})")
-
-
 def _as_residue_value(ring: PrimePowerRing, x: int | Fraction | Residue) -> int:
     if isinstance(x, Residue):
         if x.ring != ring:
@@ -207,57 +112,17 @@ def _as_residue_value(ring: PrimePowerRing, x: int | Fraction | Residue) -> int:
     return x % ring.modulus
 
 
-def _power_list(ring: PrimePowerRing, base: int | Fraction, length: int) -> list[int]:
-    b = _as_residue_value(ring, base)
-    m = ring.modulus
-    out = [1 % m] * length
-    for k in range(1, length):
-        out[k] = out[k - 1] * b % m
-    return out
-
-
-def small_binom_function(ring: PrimePowerRing):
-    """binom(n, k) mod p^e for 0 <= k <= n < 2p, as a function.
-
-    Built once in O(p): the p-free factorials u(n) = n!/p^v(n) mod p^e,
-    their inverses and the valuations v(n) of n!.  Then
-    binom(n, k) = p^s u(n) u(k)^-1 u(n-k)^-1 with s = v(n) - v(k) - v(n-k),
-    which is 0 mod p^e when s >= e.
-    """
-    p, e, m = ring.p, ring.e, ring.modulus
-    size = 2 * p
-    unit = list(range(size))  # n with its factors p removed
-    u = [1] * size
-    v = [0] * size
-    for n in range(1, size):
-        s = 0
-        while unit[n] % p == 0:
-            unit[n] //= p
-            s += 1
-        u[n] = u[n - 1] * unit[n] % m
-        v[n] = v[n - 1] + s
-    u_inv = [1] * size
-    u_inv[-1] = pow(u[-1], -1, m)
-    for n in range(size - 1, 0, -1):
-        u_inv[n - 1] = u_inv[n] * unit[n] % m
-    p_pow = [p**s for s in range(e)]
-
-    def binom(n: int, k: int) -> int:
-        s = v[n] - v[k] - v[n - k]
-        if s >= e:
-            return 0
-        return p_pow[s] * u[n] * u_inv[k] * u_inv[n - k] % m
-
-    return binom
-
-
 @lru_cache(maxsize=4096)
 def _apery_cached(n: int) -> int:
     return apery_exact(n)
 
 
 class PrimeContext:
-    """Memoized per-prime tables shared by the congruence suite and the DSL.
+    """Memoized per-prime tables shared by the congruence suite, the DSL and
+    the mining scans.
+
+    Every modular table is built here, inside _get, with one call to the
+    kernel boundary (or one O(p) loop); each is a list indexed k = 0..p-1.
 
     Everything is built lazily and kept for the lifetime of the context;
     tables are immutable once built, so a context is safe for concurrent
@@ -287,27 +152,52 @@ class PrimeContext:
         return self.ring(e).inv_table
 
     def franel(self, e: int) -> list[int]:
-        return self._get(("franel", e), lambda: franel_mod_table(self.ring(e), self.p).values)
+        """f_k = sum_j binom(k,j)^3 mod p^e, k = 0..p-1, by the recurrence."""
+        return self._get(
+            ("franel", e), lambda: kernels.franel_table(self.p, self.ring(e).modulus, self.p)
+        )
 
     def central(self, e: int) -> list[int]:
-        return self._get(("central", e), lambda: central_binom_table(self.ring(e), self.p).values)
+        """binom(2k,k) mod p^e; entries with k > (p-1)/2 are divisible by p but
+        still carry information mod p^e."""
+        return self._get(
+            ("central", e),
+            lambda: kernels.central_binom_table(self.p, self.ring(e).modulus, self.p),
+        )
 
     def fpoly(self, e: int, x: int | Fraction) -> list[int]:
-        xv = _as_residue_value(self.ring(e), x)
+        """The cubed-row polynomials f_l(x) = sum_k binom(l,k)^2 binom(2k,l) x^k."""
+        ring = self.ring(e)
+        xv = _as_residue_value(ring, x)
         return self._get(
-            ("fpoly", e, xv),
-            lambda: franel_poly_mod_table(self.ring(e), xv, self.p).values,
+            ("fpoly", e, xv), lambda: kernels.fpoly_table(self.p, ring.modulus, xv, self.p)
         )
 
     def shift(self, e: int, r: Fraction) -> list[int]:
-        return self._get(
-            ("shift", e, r), lambda: binom_shift_table(self.ring(e), r, self.p).values
-        )
+        """binom(k+r,k) mod p^e for a rational r with p-coprime denominator."""
+
+        def build():
+            ring = self.ring(e)
+            rbar = ring.from_rational(r).value
+            return kernels.binom_shift_table(self.p, ring.modulus, rbar, self.p)
+
+        return self._get(("shift", e, r), build)
 
     def genfranel(self, e: int, r: int) -> list[int]:
+        """Row sums of r-th binomial powers mod p^e.
+
+        r = 1, 2, 3 are 2^k, the central binomials and the cubed-row sums,
+        and return those tables; the general kernel handles any other r.
+        """
+        if r == 1:
+            return self.powers(e, 2)
+        if r == 2:
+            return self.central(e)
+        if r == 3:
+            return self.franel(e)
         return self._get(
             ("genfranel", e, r),
-            lambda: genfranel_mod_table(self.ring(e), r, self.p).values,
+            lambda: kernels.genfranel_table(self.p, self.ring(e).modulus, r, self.p),
         )
 
     def weighted_cubes(self, e: int, w: int | Fraction) -> list[int]:
@@ -319,19 +209,89 @@ class PrimeContext:
         )
 
     def harmonic(self, e: int, order: int) -> list[int]:
-        return self._get(
-            ("harmonic", e, order),
-            lambda: harmonic_table(self.ring(e), self.p - 1, order).values,
-        )
+        """Partial sums of 1/k (order 1) or 1/k^2 (order 2), n = 0..p-1."""
+        if order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {order}")
+
+        def build():
+            ring = self.ring(e)
+            m = ring.modulus
+            inv = ring.inv_table
+            vals = [0] * self.p
+            acc = 0
+            for k in range(1, self.p):
+                term = inv[k] if order == 1 else inv[k] * inv[k] % m
+                acc = (acc + term) % m
+                vals[k] = acc
+            return vals
+
+        return self._get(("harmonic", e, order), build)
 
     def powers(self, e: int, base: int | Fraction) -> list[int]:
         ring = self.ring(e)
-        bv = _as_residue_value(ring, base)
-        return self._get(("pow", e, bv), lambda: _power_list(ring, bv, self.p))
+        b = _as_residue_value(ring, base)
+
+        def build():
+            m = ring.modulus
+            out = [1 % m] * self.p
+            for k in range(1, self.p):
+                out[k] = out[k - 1] * b % m
+            return out
+
+        return self._get(("pow", e, b), build)
+
+    def alternating_moment(self, e: int, r: int) -> int:
+        """sum_k (-1)^k k^r f_k over k = 0..p-1, mod p^e (0^0 = 1)."""
+
+        def build():
+            m = self.ring(e).modulus
+            fr = self.franel(e)
+            acc = 0
+            sign = 1
+            for k in range(self.p):
+                acc += sign * pow(k, r, m) * fr[k]
+                sign = -sign
+            return acc % m
+
+        return self._get(("moment", e, r), build)
 
     def small_binom(self, e: int):
-        """binom(n, k) mod p^e for 0 <= k <= n < 2p (see small_binom_function)."""
-        return self._get(("small_binom", e), lambda: small_binom_function(self.ring(e)))
+        """binom(n, k) mod p^e for 0 <= k <= n < 2p, as a function.
+
+        Built once in O(p): the p-free factorials u(n) = n!/p^v(n) mod p^e,
+        their inverses and the valuations v(n) of n!.  Then
+        binom(n, k) = p^s u(n) u(k)^-1 u(n-k)^-1 with s = v(n) - v(k) - v(n-k),
+        which is 0 mod p^e when s >= e.
+        """
+
+        def build():
+            p, m = self.p, self.ring(e).modulus
+            size = 2 * p
+            unit = list(range(size))  # n with its factors p removed
+            u = [1] * size
+            v = [0] * size
+            for n in range(1, size):
+                s = 0
+                while unit[n] % p == 0:
+                    unit[n] //= p
+                    s += 1
+                u[n] = u[n - 1] * unit[n] % m
+                v[n] = v[n - 1] + s
+            u_inv = [1] * size
+            u_inv[-1] = pow(u[-1], -1, m)
+            for n in range(size - 1, 0, -1):
+                u_inv[n - 1] = u_inv[n] * unit[n] % m
+            p_pow = [p**s for s in range(e)]
+
+            def binom(n: int, k: int) -> int:
+                s = v[n] - v[k] - v[n - k]
+                if s >= e:
+                    return 0
+                return p_pow[s] * u[n] * u_inv[k] * u_inv[n - k] % m
+
+            return binom
+
+        return self._get(("small_binom", e), build)
 
     def q2(self, e: int) -> int:
         """Fermat quotient of 2 as a canonical value mod p^e."""

@@ -80,11 +80,6 @@ def _register(check_id, check_class, e, evaluate, min_prime=5, description=""):
     REGISTRY[check_id] = CheckSpec(check_id, check_class, e, min_prime, evaluate, description)
 
 
-def _frac(q: Fraction | int, m: int) -> int:
-    q = Fraction(q)
-    return q.numerator * pow(q.denominator, -1, m) % m
-
-
 def _usable(r: Fraction, p: int, what: str) -> bool:
     if r.denominator % p == 0:
         log.info("skipping %s=%s at p=%d: denominator divisible by p", what, r, p)
@@ -94,23 +89,11 @@ def _usable(r: Fraction, p: int, what: str) -> bool:
 
 # --- alternating moments of the cubed-row sums ------------------------------
 
-def _alt_moment(ctx: PrimeContext, rpow: int, e: int) -> int:
-    m = ctx.ring(e).modulus
-    fr = ctx.franel(e)
-    acc = 0
-    sign = 1
-    for k in range(ctx.p):
-        acc += sign * pow(k, rpow, m) * fr[k]
-        sign = -sign
-    return acc % m
-
-
 def _moment_check(rpow: int, coef: Fraction):
     def evaluate(ctx: PrimeContext) -> list[Case]:
         e = 2
-        m = ctx.ring(e).modulus
-        lhs = _alt_moment(ctx, rpow, e)
-        rhs = _frac(coef * ctx.jacobi3, m)
+        lhs = ctx.alternating_moment(e, rpow)
+        rhs = ctx.ring(e).from_rational(coef * ctx.jacobi3).value
         return [({}, e, lhs, rhs)]
 
     return evaluate

@@ -23,14 +23,13 @@ from franelcheck.identities import (
     verify_strehl_and_1_3,
 )
 from franelcheck.mining import check_3adic_integrality, cornacchia_x2_3y2, scan_ar
-from franelcheck.modring import ring_new
 from franelcheck.primes import primes_in_range
 from franelcheck.sequences import (
     apery_exact,
     franel_exact,
     franel_exact_list,
-    franel_mod_table,
     franel_poly_exact,
+    get_context,
 )
 from franelcheck.suite import run_check, run_suite
 
@@ -100,7 +99,7 @@ def test_criterion_3_oracle_equivalence():
         exact = franel_exact_list(p - 1)
         for e in (1, 2, 3):
             m = p**e
-            table = franel_mod_table(ring_new(p, e), p).values
+            table = get_context(p).franel(e)
             assert table == [v % m for v in exact], (p, e)
     for n in range(41):
         assert apery_exact(n, "definition") == apery_exact(n, "via_franel")

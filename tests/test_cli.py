@@ -130,6 +130,16 @@ def test_eval_parse_error_is_usage_error(capsys):
     assert "expected" in err
 
 
+def test_eval_deep_nesting_is_usage_error(capsys):
+    # "0+" first, because argparse reads a leading "-" as an option
+    stmt = "0+" + "-(" * 1000 + "1" + ")" * 1000
+    code, out, err = run_cli(capsys, "eval", stmt, "--primes", "5..7")
+    assert code == 2
+    assert out == ""
+    assert "nests too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_eval_error_rows(capsys):
     code, out, _ = run_cli(capsys, "eval", "1/p", "--primes", "5..7")
     assert code == 1

@@ -14,7 +14,7 @@ from franelcheck.modring import (
     ring_new,
 )
 from franelcheck.primes import primes_in_range
-from franelcheck.sequences import harmonic_table
+from franelcheck.sequences import get_context
 
 
 def test_ring_new_examples():
@@ -156,27 +156,24 @@ def test_fermat_quotient2_definition():
 
 
 def test_harmonic_examples():
-    r25 = ring_new(5, 2)
-    assert harmonic_table(r25, 2).values == [0, 1, 14]
-    assert harmonic_table(r25, 0).values == [0]
-    assert harmonic_table(ring_new(7, 1), 6, order=2).values[6] == 0
+    assert get_context(5).harmonic(2, 1)[:3] == [0, 1, 14]
+    assert get_context(5).harmonic(2, 1)[:1] == [0]
+    assert get_context(7).harmonic(1, 2)[6] == 0
     with pytest.raises(ValueError):
-        harmonic_table(r25, 5)
-    with pytest.raises(ValueError):
-        harmonic_table(r25, 2, order=3)
+        get_context(5).harmonic(2, 3)
 
 
 def test_wolstenholme_classics():
     # H_{p-1} = 0 mod p^2 and H2_{p-1} = 0 mod p for all 5 <= p <= 97
     for p in primes_in_range(5, 97):
-        assert harmonic_table(ring_new(p, 2), p - 1).values[p - 1] == 0
-        assert harmonic_table(ring_new(p, 1), p - 1, order=2).values[p - 1] == 0
+        assert get_context(p).harmonic(2, 1)[p - 1] == 0
+        assert get_context(p).harmonic(1, 2)[p - 1] == 0
 
 
 def test_lehmer_half_range_harmonic():
     # H_{(p-1)/2} = -2 q_p(2) + p q_p(2)^2 mod p^2
     for p in primes_in_range(5, 97):
         ring = ring_new(p, 2)
-        h = harmonic_table(ring, (p - 1) // 2).values[(p - 1) // 2]
+        h = get_context(p).harmonic(2, 1)[(p - 1) // 2]
         q = fermat_quotient2(p, 2).value
         assert h == (-2 * q + p * q * q) % ring.modulus

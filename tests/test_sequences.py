@@ -3,20 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from franelcheck.modring import ring_new
+from franelcheck.modring import NonInvertibleError, ring_new
 from franelcheck.primes import primes_in_range
 from franelcheck.sequences import (
     apery_exact,
     binom_exact,
-    binom_shift_table,
-    central_binom_table,
     franel_exact,
     franel_exact_list,
-    franel_mod_table,
     franel_poly_exact,
-    franel_poly_mod_table,
     generalized_franel,
-    genfranel_mod_table,
     get_context,
 )
 
@@ -35,11 +30,9 @@ def test_franel_list_matches_direct_summation():
 
 
 def test_franel_mod_table_examples():
-    assert franel_mod_table(ring_new(5, 2), 5).values == [1, 2, 10, 6, 21]
-    assert franel_mod_table(ring_new(5, 3), 5).values[-1] == 96
-    assert franel_mod_table(ring_new(11, 1), 1).values == [1]
-    with pytest.raises(ValueError):
-        franel_mod_table(ring_new(5, 2), 6)
+    assert get_context(5).franel(2) == [1, 2, 10, 6, 21]
+    assert get_context(5).franel(3)[-1] == 96
+    assert get_context(11).franel(1)[:1] == [1]
 
 
 def test_franel_mod_table_against_exact():
@@ -48,7 +41,7 @@ def test_franel_mod_table_against_exact():
         exact = franel_exact_list(p - 1)
         for e in (1, 2, 3):
             m = p**e
-            assert franel_mod_table(ring_new(p, e), p).values == [v % m for v in exact]
+            assert get_context(p).franel(e) == [v % m for v in exact]
 
 
 def test_franel_poly_exact_examples():
@@ -65,25 +58,24 @@ def test_franel_poly_forms_agree_exact():
 
 
 def test_franel_poly_mod_table_examples():
-    r72 = ring_new(7, 2)
-    assert franel_poly_mod_table(r72, 1, 7).values == franel_mod_table(r72, 7).values
-    assert franel_poly_mod_table(r72, 0, 7).values == [1, 0, 0, 0, 0, 0, 0]
-    assert franel_poly_mod_table(r72, 2, 7).values[2] == 32
+    ctx = get_context(7)
+    assert ctx.fpoly(2, 1) == ctx.franel(2)
+    assert ctx.fpoly(2, 0) == [1, 0, 0, 0, 0, 0, 0]
+    assert ctx.fpoly(2, 2)[2] == 32
 
 
 def test_franel_poly_mod_table_against_exact():
     for p, e in ((5, 2), (11, 2), (13, 1)):
-        ring = ring_new(p, e)
         for x in (-2, -1, 1, 2, 3):
-            got = franel_poly_mod_table(ring, x, p).values
-            assert got == [franel_poly_exact(l, x) % ring.modulus for l in range(p)]
+            got = get_context(p).fpoly(e, x)
+            assert got == [franel_poly_exact(l, x) % p**e for l in range(p)]
 
 
 def test_franel_poly_mod_rational_point():
     # table at x = 1/2 equals exact values of 2^-l * (integer polynomial 2^l f_l(1/2))
     p, e = 11, 2
     ring = ring_new(p, e)
-    got = franel_poly_mod_table(ring, Fraction(1, 2), p).values
+    got = get_context(p).fpoly(e, Fraction(1, 2))
     inv2 = pow(2, -1, ring.modulus)
     for l in range(p):
         exact = sum(
@@ -114,9 +106,8 @@ def test_generalized_franel_examples():
 
 def test_genfranel_mod_table_matches_exact():
     for r in (1, 2, 3, 4, 5, 6):
-        ring = ring_new(13, 2)
-        got = genfranel_mod_table(ring, r, 13).values
-        assert got == [generalized_franel(k, r) % ring.modulus for k in range(13)]
+        got = get_context(13).genfranel(2, r)
+        assert got == [generalized_franel(k, r) % 13**2 for k in range(13)]
 
 
 def test_binom_exact():
@@ -136,29 +127,29 @@ def test_binom_exact():
 
 
 def test_central_binom_table_examples():
-    assert central_binom_table(ring_new(7, 3), 5).values == [1, 2, 6, 20, 70]
-    assert central_binom_table(ring_new(5, 1), 5).values[3:] == [0, 0]
-    assert central_binom_table(ring_new(5, 2), 5).values[3] == 20
+    assert get_context(7).central(3)[:5] == [1, 2, 6, 20, 70]
+    assert get_context(5).central(1)[3:] == [0, 0]
+    assert get_context(5).central(2)[3] == 20
 
 
 def test_binom_shift_examples():
-    ring = ring_new(11, 2)
-    assert binom_shift_table(ring, 0, 11).values == [1] * 11
-    got = binom_shift_table(ring, 2, 11).values
-    inv2 = pow(2, -1, ring.modulus)
+    ctx = get_context(11)
+    m = 11**2
+    assert ctx.shift(2, 0) == [1] * 11
+    got = ctx.shift(2, 2)
+    inv2 = pow(2, -1, m)
     for k in range(11):
-        assert got[k] == (k + 1) * (k + 2) * inv2 % ring.modulus
+        assert got[k] == (k + 1) * (k + 2) * inv2 % m
     with pytest.raises(ValueError):
-        binom_shift_table(ring, Fraction(1, 11), 11)
+        ctx.shift(2, Fraction(1, 11))
 
 
 def test_binom_shift_negative_half_is_central_over_4k():
     for p in (5, 7, 11, 13):
         for e in (1, 2, 3):
-            ring = ring_new(p, e)
-            m = ring.modulus
-            shift = binom_shift_table(ring, Fraction(-1, 2), p).values
-            central = central_binom_table(ring, p).values
+            m = p**e
+            shift = get_context(p).shift(e, Fraction(-1, 2))
+            central = get_context(p).central(e)
             inv4 = pow(4, -1, m)
             assert shift == [central[k] * pow(inv4, k, m) % m for k in range(p)]
 
@@ -166,7 +157,7 @@ def test_binom_shift_negative_half_is_central_over_4k():
 def test_reflection_symmetry_mod_p():
     # f_k = (-8)^k f_{p-1-k} (mod p) for all k and 5 <= p <= 97
     for p in primes_in_range(5, 97):
-        fr = franel_mod_table(ring_new(p, 1), p).values
+        fr = get_context(p).franel(1)
         w = 1
         for k in range(p):
             assert fr[k] == w * fr[p - 1 - k] % p
@@ -175,7 +166,7 @@ def test_reflection_symmetry_mod_p():
 
 def test_fpoly_table_rejects_foreign_residue():
     with pytest.raises(ValueError):
-        franel_poly_mod_table(ring_new(7, 2), ring_new(5, 2).residue(1), 7)
+        get_context(7).fpoly(2, ring_new(5, 2).residue(1))
 
 
 def test_prime_context_caches_tables():
@@ -193,3 +184,56 @@ def test_small_binom_table_is_exact():
             for n in range(2 * p):
                 for k in range(n + 1):
                     assert binom(n, k) == math.comb(n, k) % p**e, (p, e, n, k)
+
+
+def _mod(q, m):
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
+def _shift_exact(k, r):
+    # binom(k+r, k) = (r+1)(r+2)...(r+k)/k!
+    out = Fraction(1)
+    for j in range(1, k + 1):
+        out *= (r + j) / Fraction(j)
+    return out
+
+
+def test_every_context_table_matches_exact_arithmetic():
+    for p in primes_in_range(3, 13):
+        ctx = get_context(p)
+        ks = range(p)
+        for e in range(1, 5):
+            m = p**e
+
+            def table(values):
+                return [_mod(v, m) for v in values]
+
+            assert ctx.franel(e) == table(franel_exact(k) for k in ks), (p, e)
+            assert ctx.central(e) == table(math.comb(2 * k, k) for k in ks), (p, e)
+            for r in range(1, 7):
+                got = ctx.genfranel(e, r)
+                assert got == table(generalized_franel(k, r) for k in ks), (p, e, r)
+            assert ctx.genfranel(e, 1) is ctx.powers(e, 2)
+            assert ctx.genfranel(e, 2) is ctx.central(e)
+            assert ctx.genfranel(e, 3) is ctx.franel(e)
+            for x in (Fraction(3), Fraction(1, 2)):
+                want = table(
+                    sum(math.comb(l, k) ** 2 * math.comb(2 * k, l) * x**k for k in range(l + 1))
+                    for l in ks
+                )
+                assert ctx.fpoly(e, x) == want, (p, e, x)
+            for r in (Fraction(2), Fraction(-1, 2), Fraction(1, 3)):
+                if r.denominator % p == 0:
+                    with pytest.raises(NonInvertibleError):
+                        ctx.shift(e, r)
+                    continue
+                assert ctx.shift(e, r) == table(_shift_exact(k, r) for k in ks), (p, e, r)
+            for order in (1, 2):
+                want = table(sum(Fraction(1, j**order) for j in range(1, n + 1)) for n in ks)
+                assert ctx.harmonic(e, order) == want, (p, e, order)
+            for base in (Fraction(2), Fraction(1, 8)):
+                assert ctx.powers(e, base) == table(base**k for k in ks), (p, e, base)
+            for w in (Fraction(-8), Fraction(1, 2)):
+                want = table(sum(math.comb(n, k) ** 3 * w**k for k in range(n + 1)) for n in ks)
+                assert ctx.weighted_cubes(e, w) == want, (p, e, w)
