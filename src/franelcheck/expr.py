@@ -32,6 +32,10 @@ which eval_congruence turns into error rows.
 
 Builtins: binom(n,k), f(n), fx(n,x), fr(r,n), A(n), H(n), H2(n), q2(),
 jacobi(a,n), inv(a).
+
+Exact arithmetic is capped by the module constants below, so that no
+statement runs without bound: an argument past a cap is an EvalError that
+names the cap.
 """
 
 from __future__ import annotations
@@ -124,6 +128,24 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     pass
+
+
+#: n in f(n), A(n) and fr(r, n) where the value comes from exact summation
+#: (A always, f and fr for n >= p), and the number of factors min(k, n-k) of
+#: binom(n, k) outside its table
+EXACT_INDEX_CAP = 2000
+#: r in fr(r, n) where the value comes from exact summation
+EXACT_POWER_CAP = 64
+#: terms of one sum(k=a..b, ...)
+SUM_LENGTH_CAP = 10**6
+#: bits of an integer power b^x (sum bounds, exponents, arguments)
+POWER_BITS_CAP = 2**20
+
+
+def _capped(value: int, cap: int, cap_name: str, what: str) -> int:
+    if value > cap:
+        raise EvalError(f"{what} is past the cap {cap_name} = {cap}")
+    return value
 
 
 # --- lexer -------------------------------------------------------------------
@@ -528,6 +550,13 @@ def _nonnegative(x: int) -> int:
     return x
 
 
+def _int_power(x: int, b: int) -> int:
+    if abs(b) > 1:  # the power has at least x * (bit_length - 1) bits
+        bits = x * (abs(b).bit_length() - 1)
+        _capped(bits, POWER_BITS_CAP, "POWER_BITS_CAP", "integer power size in bits")
+    return b**x
+
+
 def _int(node: Ast, scope: dict[str, int]):
     """Maker of the exact-integer value of node."""
     if isinstance(node, Num):
@@ -548,7 +577,7 @@ def _int(node: Ast, scope: dict[str, int]):
         left, right = _int(node.left, scope), _int(node.right, scope)
         if node.op == "^":  # the exponent is checked before the base is evaluated
             return lambda rt: _apply(
-                lambda x, b: b**x, _apply(_nonnegative, right(rt)), left(rt), costly=True
+                _int_power, _apply(_nonnegative, right(rt)), left(rt), costly=True
             )
         fn = _INT_OPS.get(node.op, _int_div)
         return lambda rt: _apply(fn, left(rt), right(rt))
@@ -646,9 +675,10 @@ def _ring_sum(node: Sum, scope: dict[str, int], slots: itertools.count):
         m, index = rt.m, rt.slots
         term = body(rt)
         if type(term) is int:
-            return _apply(lambda lo, hi: term * max(0, hi - lo + 1) % m, lower(rt), upper(rt))
+            return _apply(lambda lo, hi: term * _sum_length(lo, hi) % m, lower(rt), upper(rt))
 
         def total(lo, hi):
+            _sum_length(lo, hi)
             acc = 0
             for i in range(lo, hi + 1):
                 index[s] = i
@@ -660,10 +690,16 @@ def _ring_sum(node: Sum, scope: dict[str, int], slots: itertools.count):
     return make
 
 
+def _sum_length(lo: int, hi: int) -> int:
+    return _capped(max(0, hi - lo + 1), SUM_LENGTH_CAP, "SUM_LENGTH_CAP", "sum length")
+
+
 def _binom(rt: _Runtime, n: int, k: int) -> int:
     if k < 0:
         raise EvalError(f"binom() lower argument must be >= 0, got {k}")
     if not 0 <= n < 2 * rt.p:
+        factors = min(k, n - k) if n >= 0 else min(k, -n - 1)
+        _capped(factors, EXACT_INDEX_CAP, "EXACT_INDEX_CAP", "binom() factor count")
         return binom_exact(n, k) % rt.m
     return rt.table("small_binom")(n, k) if k <= n else 0
 
@@ -671,7 +707,9 @@ def _binom(rt: _Runtime, n: int, k: int) -> int:
 def _franel(rt: _Runtime, n: int) -> int:
     if n < 0:
         raise EvalError(f"f() index must be >= 0, got {n}")
-    return rt.table("franel")[n] if n < rt.p else franel_exact(n) % rt.m
+    if n < rt.p:
+        return rt.table("franel")[n]
+    return franel_exact(_capped(n, EXACT_INDEX_CAP, "EXACT_INDEX_CAP", "f() index")) % rt.m
 
 
 def _fx_index(rt: _Runtime, n: int) -> int:
@@ -689,13 +727,17 @@ def _genfranel(rt: _Runtime, r: int, n: int) -> int:
         raise EvalError(f"fr() power must be >= 1, got {r}")
     if n < 0:
         raise EvalError(f"fr() index must be >= 0, got {n}")
-    return rt.table("genfranel", r)[n] if n < rt.p else generalized_franel(n, r) % rt.m
+    if n < rt.p:
+        return rt.table("genfranel", r)[n]
+    _capped(n, EXACT_INDEX_CAP, "EXACT_INDEX_CAP", "fr() index")
+    _capped(r, EXACT_POWER_CAP, "EXACT_POWER_CAP", "fr() power")
+    return generalized_franel(n, r) % rt.m
 
 
 def _apery(rt: _Runtime, n: int) -> int:
     if n < 0:
         raise EvalError(f"A() index must be >= 0, got {n}")
-    return _apery_cached(n) % rt.m
+    return _apery_cached(_capped(n, EXACT_INDEX_CAP, "EXACT_INDEX_CAP", "A() index")) % rt.m
 
 
 def _harmonic(order: int, rt: _Runtime, n: int) -> int:

@@ -4,18 +4,21 @@ Everything here runs on exact integers, never modularly.  Identities that
 are polynomial in a free variable are checked at degree+2 consecutive
 integer points (including negatives, which exercises the generalized
 binomial), so each per-parameter check is equivalent to coefficientwise
-equality.
+equality.  The recurrences behind the modular tables are proven the same
+way, from their creative-telescoping certificates (verify_recurrences).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from .certificates import CERTIFICATES
+from .kernels.recurrences import RECURRENCES, Recurrence
 from .sequences import (
     apery_exact,
     binom_exact,
-    franel_exact,
     franel_exact_list,
     _fpoly_form_central,
     _fpoly_form_sq,
@@ -42,18 +45,6 @@ def _points(count: int) -> range:
     """count consecutive integers centered at 0."""
     start = -(count // 2)
     return range(start, start + count)
-
-
-def verify_recurrence_franel(n_max: int) -> IdentityOutcome:
-    """(n+1)^2 f_{n+1} = (7n^2+7n+2) f_n + 8n^2 f_{n-1} for 1 <= n < n_max."""
-    rng = {"n_max": n_max}
-    f = [franel_exact(n) for n in range(n_max + 1)]
-    for n in range(1, n_max):
-        lhs = (n + 1) ** 2 * f[n + 1]
-        rhs = (7 * n * n + 7 * n + 2) * f[n] + 8 * n * n * f[n - 1]
-        if lhs != rhs:
-            return IdentityOutcome.fail("recurrence_franel", rng, n=n, lhs=lhs, rhs=rhs)
-    return IdentityOutcome.ok("recurrence_franel", rng)
 
 
 def verify_eq_2_2(k_max: int) -> IdentityOutcome:
@@ -202,9 +193,237 @@ def verify_strehl_and_1_3(n_max: int) -> IdentityOutcome:
     return IdentityOutcome.ok("strehl_and_transform", rng)
 
 
+# -- the table recurrences --------------------------------------------------
+#
+# Every recurrence in kernels.recurrences.RECURRENCES is proven here from that
+# same table, so the kernel boundary runs no recurrence that is not checked.
+# A sum S(n) = sum_k F(n,k) is proven by creative telescoping (Zeilberger;
+# Petkovsek, Wilf and Zeilberger, *A = B*, 1996, ch. 6-7): with the committed
+# certificate Q, G(n,k) = Q(n,k,x) H'(n,k) / D(n) satisfies
+#
+#     sum_i a_i(n) F(n+i,k) = G(n,k+1) - G(n,k)
+#
+# for every k in a range that holds all nonzero F(n+i,k), and G vanishes at
+# both ends of it, so summing over k gives sum_i a_i(n) S(n+i) = 0.  Divided
+# by a hypergeometric base H(n,k), which is nonzero on the range for x != 0,
+# the relation is the polynomial identity
+#
+#     c(k) sum_i a_i(n,x) A_i(n,k) = c(k) X U(n,k) Q(n,k+1,x) - V(n,k) Q(n,k,x)
+#
+# with F(n+i,k) = H A_i / D, H'(n,k+1) = X U H, c(k) H'(n,k) = V H and
+# c(k) != 0 at integers.  It is checked on a grid of degree+2 points in n, k
+# and x, which proves it coefficientwise.  For fixed n both sides of the
+# recurrence are polynomials in x that agree for x != 0, hence everywhere.
+
+
+class _SumShape(NamedTuple):
+    """The polynomial form of one family of sums, for an order-J recurrence."""
+
+    term: Callable[[int, int, int], int]  # F(n, k, x), exact
+    factor: Callable[[int, int, int, int], int]  # c(k) A_i(n, k), as (i, J, n, k)
+    up: Callable[[int, int, int, int], int]  # c(k) X U(n, k), as (J, n, k, x)
+    down: Callable[[int, int], int]  # V(n, k)
+    degrees: Callable[[int], tuple[int, int, int]]  # bounds in n, k, x of all three
+
+
+def _binomial_power(r: int, weighted: bool = False) -> _SumShape:
+    """F(n,k) = binom(n,k)^r x^k (x = 1 unless weighted), summed over 0 <= k <= n+J.
+
+    H(n,k) = ((n+J)!/(k!(n+J-k)!))^r x^k, D(n) = ((n+1)...(n+J))^r,
+    A_i = ((n+1)...(n+i) (n+i+1-k)...(n+J-k))^r, which vanishes exactly where
+    binom(n+i,k) does on the range, and H'(n,k) = ((n+J)!/((k-1)!(n+J-k)!))^r x^k,
+    so U = (n+J-k)^r, V = k^r and c = 1: G(n,0) = G(n,n+J+1) = 0.
+    """
+
+    def factor(i, J, n, k):
+        rising = _prod(n + j for j in range(1, i + 1))
+        return (rising * _prod(n + j - k for j in range(i + 1, J + 1))) ** r
+
+    return _SumShape(
+        term=lambda n, k, x: math.comb(n, k) ** r * (x**k if weighted else 1),
+        factor=factor,
+        up=lambda J, n, k, x: (x if weighted else 1) * (n + J - k) ** r,
+        down=lambda n, k: k**r,
+        degrees=lambda J: (r * J, r * J, int(weighted)),
+    )
+
+
+def _fpoly_factor(i, J, n, k):
+    return (
+        2 * (2 * k - 1)
+        * _prod(n + j for j in range(1, i + 1))
+        * _prod(n + j - k for j in range(i + 1, J + 1)) ** 2
+        * _prod(2 * k - n - t for t in range(i))
+    )
+
+
+#: F(n,k) = binom(n,k)^2 binom(2k,n) x^k, summed over n/2 <= k <= n+J.
+#: H(n,k) = (n+J)! (2k)! x^k / (k!^2 (n+J-k)!^2 (2k-n)!), D(n) = (n+1)...(n+J),
+#: A_i = (n+1)...(n+i) ((n+i+1-k)...(n+J-k))^2 (2k-n)(2k-n-1)...(2k-n-i+1) and
+#: H'(n,k) = (n+J)! (2k-2)! x^k / ((k-1)!^2 (n+J-k)!^2 (2k-2-n)!), so
+#: U = (n+J-k)^2, V = k(2k-n)(2k-n-1) and c = 2(2k-1); G vanishes at the
+#: lowest k of the range (2k-n is 0 or 1) and at k = n+J+1.
+_FPOLY = _SumShape(
+    term=lambda n, k, x: math.comb(n, k) ** 2 * math.comb(2 * k, n) * x**k,
+    factor=_fpoly_factor,
+    up=lambda J, n, k, x: 2 * (2 * k - 1) * x * (n + J - k) ** 2,
+    down=lambda n, k: k * (2 * k - n) * (2 * k - n - 1),
+    degrees=lambda J: (2 * J, 2 * J + 1, 1),
+)
+
+
+class _TermRatio(NamedTuple):
+    """A hypergeometric term T with T(0) = 1 and T(n+1) den(n) = T(n) num(n).
+
+    A first-order recurrence annihilates T iff a_1 num + a_0 den = 0, since
+    den(n) != 0 for n >= 0.
+    """
+
+    value: Callable[[int, int], int]  # T(n) at an integer parameter x, exact
+    num: Callable[[int, int], int]
+    den: Callable[[int, int], int]
+    degrees: tuple[int, int]  # bounds in n and x of num and den
+
+
+#: binom(2n+2,n+1) / binom(2n,n) = (2n+1)(2n+2) / (n+1)^2
+_CENTRAL = _TermRatio(
+    value=lambda n, x: math.comb(2 * n, n),
+    num=lambda n, x: (2 * n + 1) * (2 * n + 2),
+    den=lambda n, x: (n + 1) ** 2,
+    degrees=(2, 0),
+)
+
+#: binom(n+1+x, n+1) / binom(n+x, n) = (n+1+x) / (n+1), for any x
+_SHIFT = _TermRatio(
+    value=lambda n, x: binom_exact(n + x, n),
+    num=lambda n, x: n + 1 + x,
+    den=lambda n, x: n + 1,
+    degrees=(1, 1),
+)
+
+#: What each recurrence annihilates: sums with a certificate, or terms.
+_CLAIMS: dict[str, tuple] = {
+    "pow2": (_binomial_power(1),),
+    "central": (_CENTRAL, _binomial_power(2)),
+    "franel": (_binomial_power(3),),
+    "binom4": (_binomial_power(4),),
+    "weighted_cubes": (_binomial_power(3, weighted=True),),
+    "fpoly": (_FPOLY,),
+    "shift": (_SHIFT,),
+}
+
+
+def _prod(factors) -> int:
+    out = 1
+    for f in factors:
+        out *= f
+    return out
+
+
+def _horner(coeffs, t: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _coefficient(rows, n: int, x: int) -> int:
+    """A recurrence coefficient a_i(n, x) from its rows over powers of n."""
+    return _horner([_horner(row, x) for row in rows], n)
+
+
+def _sum_counterexample(rec: Recurrence, shape: _SumShape, cert) -> dict | None:
+    if not cert:
+        return {"part": "certificate", "missing": True}
+    order = len(rec.coeffs) - 1
+    for j, row in enumerate(rec.init):
+        # S(j, x) has degree <= j in x
+        for x in _points(max(len(row) - 1, j) + 2):
+            want = sum(shape.term(j, k, x) for k in range(j + 1))
+            if _horner(row, x) != want:
+                return {"part": "init", "n": j, "x": x, "lhs": _horner(row, x), "rhs": want}
+    dn, dk, dx = shape.degrees(order)
+    qn = max(t[0] for t in cert)
+    qk = max(t[1] for t in cert)
+    qx = max(t[2] for t in cert)
+    an = max(len(rows) - 1 for rows in rec.coeffs)
+    ax = max(len(row) - 1 for rows in rec.coeffs for row in rows)
+    for n in _points(max(an, qn) + dn + 2):
+        for x in _points(max(ax, qx) + dx + 2):
+            a = [_coefficient(rows, n, x) for rows in rec.coeffs]
+            q = [0] * (qk + 1)
+            for en, ek, ex, c in cert:
+                q[ek] += c * n**en * x**ex
+            for k in _points(qk + dk + 2):
+                lhs = sum(a[i] * shape.factor(i, order, n, k) for i in range(order + 1))
+                rhs = shape.up(order, n, k, x) * _horner(q, k + 1)
+                rhs -= shape.down(n, k) * _horner(q, k)
+                if lhs != rhs:
+                    return {"part": "certificate", "n": n, "k": k, "x": x, "lhs": lhs, "rhs": rhs}
+    return None
+
+
+def _ratio_counterexample(rec: Recurrence, term: _TermRatio) -> dict | None:
+    if len(rec.coeffs) != 2:
+        return {"part": "order", "order": len(rec.coeffs) - 1}
+    dn, dx = term.degrees
+    an = max(len(rows) - 1 for rows in rec.coeffs)
+    ax = max(len(row) - 1 for rows in rec.coeffs for row in rows)
+    for x in _points(max(ax, dx) + 2):
+        if _horner(rec.init[0], x) != term.value(0, x):
+            return {"part": "init", "n": 0, "x": x, "lhs": _horner(rec.init[0], x), "rhs": term.value(0, x)}
+        # the stated ratio matches the term itself
+        for n in range(8):
+            lhs = term.value(n + 1, x) * term.den(n, x)
+            rhs = term.value(n, x) * term.num(n, x)
+            if lhs != rhs:
+                return {"part": "ratio", "n": n, "x": x, "lhs": lhs, "rhs": rhs}
+    for n in _points(an + dn + 2):
+        for x in _points(ax + dx + 2):
+            a0, a1 = (_coefficient(rows, n, x) for rows in rec.coeffs)
+            lhs, rhs = a1 * term.num(n, x), -a0 * term.den(n, x)
+            if lhs != rhs:
+                return {"part": "recurrence", "n": n, "x": x, "lhs": lhs, "rhs": rhs}
+    return None
+
+
+def verify_recurrence(
+    name: str, recurrence: Recurrence | None = None, certificate=None
+) -> IdentityOutcome:
+    """Prove one entry of RECURRENCES: its initial values and every claim.
+
+    ``recurrence`` and ``certificate`` override the committed data; the
+    mutation test injects a perturbed coefficient through them.
+    """
+    rec = recurrence or RECURRENCES[name]
+    cert = certificate or CERTIFICATES.get(name)
+    identity_id = f"recurrence_{name}"
+    rng = {"order": len(rec.coeffs) - 1}
+    if len(rec.init) != len(rec.coeffs) - 1 or name not in _CLAIMS:
+        return IdentityOutcome.fail(identity_id, rng, part="shape")
+    for claim in _CLAIMS[name]:
+        if isinstance(claim, _TermRatio):
+            bad = _ratio_counterexample(rec, claim)
+        else:
+            bad = _sum_counterexample(rec, claim, cert)
+        if bad is not None:
+            return IdentityOutcome.fail(identity_id, rng, **bad)
+    return IdentityOutcome.ok(identity_id, rng)
+
+
+def verify_recurrences() -> IdentityOutcome:
+    """Every recurrence the kernel boundary uses, proven from the same table."""
+    rng = {"families": list(RECURRENCES)}
+    for name in RECURRENCES:
+        outcome = verify_recurrence(name)
+        if not outcome.passed:
+            return IdentityOutcome.fail("recurrences", rng, family=name, **outcome.counterexample)
+    return IdentityOutcome.ok("recurrences", rng)
+
+
 #: The identity suite with its standard desk-scale bounds, in run order.
 IDENTITY_SUITE: list[tuple[str, Callable[[], IdentityOutcome]]] = [
-    ("recurrence_franel", lambda: verify_recurrence_franel(200)),
+    ("recurrences", lambda: verify_recurrences()),
     ("eq_2_2", lambda: verify_eq_2_2(25)),
     ("chu_vandermonde", lambda: verify_chu_vandermonde(20)),
     ("andersen", lambda: verify_andersen(20)),

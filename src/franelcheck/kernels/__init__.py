@@ -1,6 +1,6 @@
 """Kernel backend selection and the kernel boundary.
 
-The hot table kernels exist twice: a hand-written C extension (``_native``,
+The table kernels exist twice: a hand-written C extension (``_native``,
 built from ``_native.c`` by ``setup.py``) and a pure-Python mirror
 (``pure``).  The compiled backend is picked at import when it was built; it
 only handles moduli below 2**63, so larger moduli fall through to the pure
@@ -8,7 +8,11 @@ path, which is arbitrary precision.
 
 Every call goes through the functions below, which validate the arguments
 and reduce residue parameters mod m once for both backends, so the two
-accept the same inputs and return the same lists.
+accept the same inputs and return the same lists.  Every table but the
+inverses, the triangle sums and the row sums of binomial powers r >= 5 is
+P-recursive: its function only evaluates an entry of ``RECURRENCES`` at its
+parameter mod m and runs it through the one kernel ``precursive_table``, in
+O(p).  ``franelcheck.identities`` proves each entry of that table.
 
 Set ``FRANELCHECK_PURE=1`` to force the pure backend, e.g. to time or
 check an end-to-end run on it.
@@ -19,6 +23,7 @@ from __future__ import annotations
 import os
 
 from . import pure
+from .recurrences import RECURRENCES
 
 try:
     from . import _native
@@ -58,27 +63,43 @@ def inverse_table(p: int, m: int, n: int) -> list[int]:
     return _impl(m).inverse_table(p, m, n)
 
 
-def franel_table(p: int, m: int, length: int) -> list[int]:
+def precursive_table(p: int, m: int, coeffs, init, length: int) -> list[int]:
+    """The one P-recursive kernel, on entries the caller reduced mod m."""
     _check_length(p, length)
-    return _impl(m).franel_table(p, m, length)
+    return _impl(m).precursive_table(p, m, coeffs, init, length)
+
+
+def _recurrence_table(p: int, m: int, name: str, x: int, length: int) -> list[int]:
+    """Entry ``name`` of RECURRENCES at the parameter x, evaluated mod m."""
+    rec = RECURRENCES[name]
+    x %= m
+    coeffs = [[pure.horner(row, x, m) for row in a] for a in rec.coeffs]
+    return precursive_table(p, m, coeffs, [pure.horner(row, x, m) for row in rec.init], length)
+
+
+def franel_table(p: int, m: int, length: int) -> list[int]:
+    return _recurrence_table(p, m, "franel", 0, length)
 
 
 def central_binom_table(p: int, m: int, length: int) -> list[int]:
-    _check_length(p, length)
-    return _impl(m).central_binom_table(p, m, length)
+    return _recurrence_table(p, m, "central", 0, length)
 
 
 def binom_shift_table(p: int, m: int, rbar: int, length: int) -> list[int]:
-    _check_length(p, length)
-    return _impl(m).binom_shift_table(p, m, rbar % m, length)
+    return _recurrence_table(p, m, "shift", rbar, length)
 
 
 def fpoly_table(p: int, m: int, x: int, length: int) -> list[int]:
-    _check_length(p, length)
-    return _impl(m).fpoly_table(p, m, x % m, length)
+    return _recurrence_table(p, m, "fpoly", x, length)
+
+
+#: genfranel_table's powers r that have a recurrence; others use the row sums
+_GENFRANEL_RECURRENCES = {1: "pow2", 2: "central", 3: "franel", 4: "binom4"}
 
 
 def genfranel_table(p: int, m: int, r: int, length: int) -> list[int]:
+    if r in _GENFRANEL_RECURRENCES:
+        return _recurrence_table(p, m, _GENFRANEL_RECURRENCES[r], 0, length)
     _check_length(p, length)
     if r < 1:
         raise ValueError(f"power must be >= 1, got {r}")
@@ -88,8 +109,7 @@ def genfranel_table(p: int, m: int, r: int, length: int) -> list[int]:
 
 
 def weighted_cube_table(p: int, m: int, w: int, length: int) -> list[int]:
-    _check_length(p, length)
-    return _impl(m).weighted_cube_table(p, m, w % m, length)
+    return _recurrence_table(p, m, "weighted_cubes", w, length)
 
 
 def triangle_weighted_sums(p: int, m: int) -> list[int]:

@@ -1,11 +1,13 @@
 /* Compiled table kernels: moduli below 2**63, 128-bit intermediates.
  *
- * Mirror of pure.py: the same eight functions, positional signatures and
- * loops, and bit-identical lists.  The dispatcher in __init__.py validates
- * and reduces the parameters first; the checks here only keep a direct call
- * from dividing by zero, overflowing, or indexing out of bounds.  Every
- * argument must be an int in [0, 2**64) (else TypeError or OverflowError),
- * and m < 2**63 keeps the sum in addmod below 2**64.
+ * Mirror of pure.py: the same four functions (the P-recursive kernel, the
+ * inverse table, the direct row sums of binomial powers and the triangle
+ * sums), positional signatures and loops, and bit-identical lists.  The
+ * boundary in __init__.py validates and reduces the parameters first and
+ * picks the recurrences; the checks here only keep a direct call from
+ * dividing by zero, overflowing, or indexing out of bounds.  Every integer
+ * argument or entry must be an int in [0, 2**64) (else TypeError or
+ * OverflowError), and m < 2**63 keeps the sum in addmod below 2**64.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -90,14 +92,6 @@ static void fill_central(u64 *central, const u64 *inv, u64 len, u64 m)
         central[k + 1] = mulmod(mulmod(central[k], (4 * k + 2) % m, m), inv[k + 1], m);
 }
 
-/* x^k for k < len. */
-static void fill_powers(u64 *pw, u64 x, u64 len, u64 m)
-{
-    pw[0] = 1 % m;
-    for (u64 k = 1; k < len; k++)
-        pw[k] = mulmod(pw[k - 1], x, m);
-}
-
 /* One block for `count` tables of n entries each; the caller frees it. */
 static u64 *alloc_tables(u64 count, u64 n)
 {
@@ -174,106 +168,118 @@ static PyObject *inverse_table(PyObject *self, PyObject *const *args, Py_ssize_t
     return res;
 }
 
-static PyObject *franel_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* Read a sequence of ints, each in [0, m), into buf[0..n-1]. */
+static int read_residues(PyObject *seq, u64 *buf, u64 m, const char *what)
 {
-    u64 a[3], *inv, *out;
-    PyObject *res = NULL;
-    if (parse_table_args(args, nargs, 3, "franel_table", a) < 0)
-        return NULL;
-    u64 m = a[1], len = a[2];
-    if (len == 0)
-        return PyList_New(0);
-    if ((inv = alloc_tables(2, len)) == NULL)
-        return NULL;
-    out = inv + len;
-    if (fill_inverses(inv, len - 1, m) == 0) {
-        out[0] = 1 % m;
-        if (len > 1)
-            out[1] = 2 % m;
-        for (u64 n = 1; n + 1 < len; n++) {
-            u64 c1 = (u64)(((u128)7 * n * n + 7 * n + 2) % m);
-            u64 c0 = (u64)((u128)8 * n * n % m);
-            u64 t = addmod(mulmod(c1, out[n], m), mulmod(c0, out[n - 1], m), m);
-            out[n + 1] = mulmod(mulmod(t, inv[n + 1], m), inv[n + 1], m);
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        buf[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (buf[i] == (u64)-1 && PyErr_Occurred())
+            return -1;
+        if (buf[i] >= m) {
+            PyErr_Format(PyExc_ValueError, "%s entries must be below m=%llu, got %llu", what, m, buf[i]);
+            return -1;
         }
-        res = to_list(out, len);
     }
-    PyMem_Free(inv);
-    return res;
+    return 0;
 }
 
-static PyObject *central_binom_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* a(n) mod m for the coefficients c[0..count-1] of a, lowest power first. */
+static u64 eval_poly(const u64 *c, Py_ssize_t count, u64 n, u64 m)
 {
-    u64 a[3], *inv;
-    PyObject *res = NULL;
-    if (parse_table_args(args, nargs, 3, "central_binom_table", a) < 0)
-        return NULL;
-    u64 m = a[1], len = a[2];
-    if (len == 0)
-        return PyList_New(0);
-    if ((inv = alloc_tables(2, len)) == NULL)
-        return NULL;
-    if (fill_inverses(inv, len - 1, m) == 0) {
-        fill_central(inv + len, inv, len, m);
-        res = to_list(inv + len, len);
-    }
-    PyMem_Free(inv);
-    return res;
+    u64 acc = 0;
+    n %= m;
+    while (count-- > 0)
+        acc = addmod(mulmod(acc, n, m), c[count], m);
+    return acc;
 }
 
-static PyObject *binom_shift_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *precursive_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    u64 a[4], *inv, *out;
-    PyObject *res = NULL;
-    if (parse_table_args(args, nargs, 4, "binom_shift_table", a) < 0)
+    u64 a[3], *cbuf = NULL, *out = NULL, *lead, *inv, acc_inv;
+    Py_ssize_t *start = NULL, order, total = 0;
+    PyObject *coeffs = NULL, *init = NULL, *res = NULL;
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError,
+                            "precursive_table() takes 5 positional arguments (%zd given)", nargs);
+    PyObject *const ints[3] = {args[0], args[1], args[4]};
+    if (parse_args(ints, 3, 3, "precursive_table", a) < 0)
         return NULL;
-    u64 m = a[1], rbar = a[2] % m, len = a[3];
-    if (len == 0)
-        return PyList_New(0);
-    if ((inv = alloc_tables(2, len)) == NULL)
+    u64 p = a[0], m = a[1], len = a[2];
+    if (len > p)
+        return PyErr_Format(PyExc_ValueError, "length must be <= p, got %llu > %llu", len, p);
+    if ((coeffs = PySequence_Fast(args[2], "coeffs must be a sequence")) == NULL)
         return NULL;
-    out = inv + len;
-    if (fill_inverses(inv, len - 1, m) == 0) {
-        out[0] = 1 % m;
-        for (u64 j = 1; j < len; j++)
-            out[j] = mulmod(mulmod(out[j - 1], addmod(rbar, j % m, m), m), inv[j], m);
-        res = to_list(out, len);
+    if ((init = PySequence_Fast(args[3], "init must be a sequence")) == NULL)
+        goto done;
+    order = PySequence_Fast_GET_SIZE(coeffs) - 1;
+    if (order < 1 || PySequence_Fast_GET_SIZE(init) != order) {
+        PyErr_Format(PyExc_ValueError, "a recurrence needs order >= 1 and as many initial values, "
+                     "got order %zd with %zd", order, PySequence_Fast_GET_SIZE(init));
+        goto done;
     }
-    PyMem_Free(inv);
-    return res;
-}
-
-static PyObject *fpoly_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    u64 a[4], *fact, *inv_fact, *inv, *central, *xpw, *out;
-    PyObject *res = NULL;
-    if (parse_table_args(args, nargs, 4, "fpoly_table", a) < 0)
-        return NULL;
-    u64 m = a[1], x = a[2] % m, len = a[3];
-    if (len == 0)
-        return PyList_New(0);
-    if ((fact = alloc_tables(6, len)) == NULL)
-        return NULL;
-    inv_fact = fact + len;
-    inv = inv_fact + len;
-    central = inv + len;
-    xpw = central + len;
-    out = xpw + len;
-    if (fill_factorials(fact, inv_fact, len - 1, m) == 0 && fill_inverses(inv, len - 1, m) == 0) {
-        fill_central(central, inv, len, m);
-        fill_powers(xpw, x, len, m);
-        for (u64 l = 0; l < len; l++) {
-            u128 acc = 0;
-            for (u64 d = 0; 2 * d <= l; d++) {
-                u64 k = l - d;
-                u64 t = mulmod(mulmod(inv_fact[d], inv_fact[d], m), inv_fact[l - 2 * d], m);
-                acc += mulmod(mulmod(t, central[k], m), xpw[k], m);
-            }
-            out[l] = mulmod((u64)(acc % m), fact[l], m);
+    /* the coefficients of a_0..a_order, one after another: a_i is cbuf[start[i]..start[i+1]) */
+    if ((start = PyMem_Calloc((size_t)order + 2, sizeof(Py_ssize_t))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i <= order; i++) {
+        PyObject *poly = PySequence_Fast_GET_ITEM(coeffs, i);
+        if (!PyList_Check(poly) && !PyTuple_Check(poly)) {
+            PyErr_SetString(PyExc_TypeError, "each a_i must be a list or tuple");
+            goto done;
         }
-        res = to_list(out, len);
+        total += PySequence_Fast_GET_SIZE(poly);
+        start[i + 1] = total;
     }
-    PyMem_Free(fact);
+    if ((cbuf = alloc_tables(1, (u64)total + (u64)order)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i <= order; i++)
+        if (read_residues(PySequence_Fast_GET_ITEM(coeffs, i), cbuf + start[i], m, "coeffs") < 0)
+            goto done;
+    u64 *u0 = cbuf + total;
+    if (read_residues(init, u0, m, "init") < 0)
+        goto done;
+    if (len == 0) {
+        res = PyList_New(0);
+        goto done;
+    }
+    u64 steps = len > (u64)order ? len - (u64)order : 0;
+    if ((out = alloc_tables(3, len)) == NULL)
+        goto done;
+    lead = out + len;
+    inv = lead + len;
+    for (u64 n = 0; n < len && n < (u64)order; n++)
+        out[n] = u0[n];
+    /* batch inversion of the leading values: prefix products, one inverse, a backward pass */
+    const u64 *cj = cbuf + start[order];
+    u64 acc = 1 % m;
+    for (u64 n = 0; n < steps; n++) {
+        lead[n] = eval_poly(cj, start[order + 1] - start[order], n, m);
+        inv[n] = acc = mulmod(acc, lead[n], m);
+    }
+    if (steps > 0) {
+        if (invmod(acc, m, &acc_inv) < 0)
+            goto done;
+        for (u64 n = steps - 1; n > 0; n--) {
+            inv[n] = mulmod(acc_inv, inv[n - 1], m);
+            acc_inv = mulmod(acc_inv, lead[n], m);
+        }
+        inv[0] = acc_inv;
+    }
+    for (u64 n = 0; n < steps; n++) {
+        u64 s = 0;
+        for (Py_ssize_t i = 0; i < order; i++)
+            s = addmod(s, mulmod(eval_poly(cbuf + start[i], start[i + 1] - start[i], n, m), out[n + i], m), m);
+        out[n + order] = mulmod(s ? m - s : 0, inv[n], m);
+    }
+    res = to_list(out, len);
+done:
+    PyMem_Free(out);
+    PyMem_Free(cbuf);
+    PyMem_Free(start);
+    Py_XDECREF(init);
+    Py_XDECREF(coeffs);
     return res;
 }
 
@@ -300,36 +306,6 @@ static PyObject *genfranel_table(PyObject *self, PyObject *const *args, Py_ssize
                 acc += powmod(b, r, m);
             }
             out[k] = (u64)(acc % m);
-        }
-        res = to_list(out, len);
-    }
-    PyMem_Free(fact);
-    return res;
-}
-
-static PyObject *weighted_cube_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    u64 a[4], *fact, *inv_fact, *wpw, *out;
-    PyObject *res = NULL;
-    if (parse_table_args(args, nargs, 4, "weighted_cube_table", a) < 0)
-        return NULL;
-    u64 m = a[1], w = a[2] % m, len = a[3];
-    if (len == 0)
-        return PyList_New(0);
-    if ((fact = alloc_tables(4, len)) == NULL)
-        return NULL;
-    inv_fact = fact + len;
-    wpw = inv_fact + len;
-    out = wpw + len;
-    if (fill_factorials(fact, inv_fact, len - 1, m) == 0) {
-        fill_powers(wpw, w, len, m);
-        for (u64 n = 0; n < len; n++) {
-            u128 acc = 0;
-            for (u64 k = 0; k <= n; k++) {
-                u64 b = mulmod(mulmod(fact[n], inv_fact[k], m), inv_fact[n - k], m);
-                acc += mulmod(mulmod(mulmod(b, b, m), b, m), wpw[k], m);
-            }
-            out[n] = (u64)(acc % m);
         }
         res = to_list(out, len);
     }
@@ -375,12 +351,10 @@ static PyObject *triangle_weighted_sums(PyObject *self, PyObject *const *args, P
 
 static PyMethodDef native_methods[] = {
     KERNEL(inverse_table, "inverse_table(p, m, n): inverses of 1..n mod m (slot 0 unused), n < p."),
-    KERNEL(franel_table, "franel_table(p, m, length): cubed-binomial row sums mod m by recurrence."),
-    KERNEL(central_binom_table, "central_binom_table(p, m, length): binom(2k,k) mod m."),
-    KERNEL(binom_shift_table, "binom_shift_table(p, m, rbar, length): binom(k+r,k) mod m."),
-    KERNEL(fpoly_table, "fpoly_table(p, m, x, length): the polynomials f_l(x) mod m, l < length."),
+    KERNEL(precursive_table,
+           "precursive_table(p, m, coeffs, init, length): u(0..length-1) mod m of "
+           "sum_i a_i(n) u(n+i) = 0, a_i given by coefficients mod m, lowest power first."),
     KERNEL(genfranel_table, "genfranel_table(p, m, r, length): sum_j binom(k,j)^r mod m."),
-    KERNEL(weighted_cube_table, "weighted_cube_table(p, m, w, length): sum_k binom(n,k)^3 w^k mod m."),
     KERNEL(triangle_weighted_sums,
            "triangle_weighted_sums(p, m): binom(2k,k) sum_{n=k}^{p-1} (2n+1) binom(n+k,2k) mod m."),
     {NULL, NULL, 0, NULL},

@@ -1,17 +1,20 @@
 """Pure-Python table kernels.
 
-Every kernel here has a compiled twin in the C extension ``_native``; only
-the helper ``factorial_tables`` does not.  The two must produce identical
-lists (the test suite compares them entry by entry, and both against exact
-arithmetic).  This backend is also the only one used when the modulus
-exceeds the compiled backend's 64-bit range, and it is the reference the
-compiled kernels are tested against.
+Four kernels: ``precursive_table`` (any recurrence with polynomial
+coefficients, O(order * degree * length)), ``inverse_table``, the direct
+O(p^2) row sums of binomial powers ``genfranel_table`` and
+``triangle_weighted_sums``.  Each has a compiled twin in the C extension
+``_native``; only the helpers ``factorial_tables`` and ``horner`` do not.
+The two must produce identical lists (the test suite compares them entry
+by entry, and both against exact arithmetic).  This backend is also the
+only one used when the modulus exceeds the compiled backend's 64-bit
+range, and it is the reference the compiled kernels are tested against.
 
 Conventions shared by all kernels:
   * ``p`` is an odd prime, ``m = p**e`` the modulus, inputs canonical in
-    [0, m) (the dispatcher in ``__init__`` reduces them);
+    [0, m) (the boundary in ``__init__`` reduces them);
   * table indices run k = 0..length-1 with length <= p, so every division
-    that occurs is by an integer in 1..p-1 and hence invertible mod m.
+    the boundary's recurrences make is by a unit mod m.
 """
 
 from __future__ import annotations
@@ -54,82 +57,56 @@ def factorial_tables(p: int, m: int, n: int) -> tuple[list[int], list[int]]:
     return fact, inv_fact
 
 
-def franel_table(p: int, m: int, length: int) -> list[int]:
-    """Cubed-binomial row sums f_0..f_{length-1} mod m by the three-term
-    recurrence (n+1)^2 f_{n+1} = (7n^2+7n+2) f_n + 8 n^2 f_{n-1}."""
-    if length > p:
-        raise ValueError(f"length must be <= p, got {length} > {p}")
-    if length <= 0:
-        return []
-    out = [0] * length
-    out[0] = 1 % m
-    if length > 1:
-        out[1] = 2 % m
-    inv = inverse_table(p, m, length - 1)
-    for n in range(1, length - 1):
-        t = ((7 * n * n + 7 * n + 2) * out[n] + 8 * n * n * out[n - 1]) % m
-        i = inv[n + 1]
-        out[n + 1] = t * i % m * i % m
-    return out
+def precursive_table(
+    p: int, m: int, coeffs: list[list[int]], init: list[int], length: int
+) -> list[int]:
+    """u(0..length-1) mod m of the recurrence sum_{i<=J} a_i(n) u(n+i) = 0.
 
-
-def central_binom_table(p: int, m: int, length: int) -> list[int]:
-    """binom(2k,k) mod m for k = 0..length-1 via the ratio 2(2k+1)/(k+1)."""
-    if length > p:
-        raise ValueError(f"length must be <= p, got {length} > {p}")
-    if length <= 0:
-        return []
-    out = [0] * length
-    out[0] = 1 % m
-    inv = inverse_table(p, m, length - 1)
-    for k in range(length - 1):
-        out[k + 1] = out[k] * (2 * (2 * k + 1) % m) % m * inv[k + 1] % m
-    return out
-
-
-def binom_shift_table(p: int, m: int, rbar: int, length: int) -> list[int]:
-    """binom(k+r,k) mod m for k = 0..length-1, r given as the residue rbar.
-
-    Cumulative product of (rbar + j) / j; the numerator may be divisible
-    by p, the denominator never is.
+    ``coeffs[i]`` holds a_i's coefficients mod m, lowest power of n first,
+    and ``init`` the J values u(0..J-1).  Each step solves
+    u(n+J) = -(sum_{i<J} a_i(n) u(n+i)) / a_J(n); the leading values a_J(n),
+    n < length-J, are batch-inverted once, and one that is not a unit mod m
+    raises ValueError.
     """
     if length > p:
         raise ValueError(f"length must be <= p, got {length} > {p}")
-    if length <= 0:
-        return []
-    out = [0] * length
-    out[0] = 1 % m
-    inv = inverse_table(p, m, length - 1)
-    for j in range(1, length):
-        out[j] = out[j - 1] * ((rbar + j) % m) % m * inv[j] % m
+    order = len(coeffs) - 1
+    if order < 1 or len(init) != order:
+        raise ValueError(
+            "a recurrence needs order >= 1 and as many initial values, "
+            f"got order {order} with {len(init)}"
+        )
+    out = list(init[:length]) + [0] * (length - order)
+    steps = length - order
+    if steps <= 0:
+        return out
+    values = [[horner(a, n, m) for n in range(steps)] for a in coeffs]
+    lead = values.pop()
+    # batch inversion: prefix products, one inverse, then a backward pass
+    inv = [0] * steps
+    acc = 1
+    for n, v in enumerate(lead):
+        acc = acc * v % m
+        inv[n] = acc
+    acc_inv = pow(acc, -1, m)
+    for n in range(steps - 1, 0, -1):
+        inv[n] = acc_inv * inv[n - 1] % m
+        acc_inv = acc_inv * lead[n] % m
+    inv[0] = acc_inv
+    for n in range(steps):
+        s = 0
+        for i, a in enumerate(values):
+            s += a[n] * out[n + i]
+        out[n + order] = -s * inv[n] % m
     return out
 
 
-def fpoly_table(p: int, m: int, x: int, length: int) -> list[int]:
-    """Table of sum_k binom(l,k) binom(k,l-k) binom(2k,k) x^k for l < length.
-
-    With a = l-k, the two row binomials collapse to
-    l! * (a!)^-2 * ((l-2a)!)^-1, so one factorial-table pass feeds the
-    whole O(length^2) double sum.
-    """
-    if length > p:
-        raise ValueError(f"length must be <= p, got {length} > {p}")
-    if length <= 0:
-        return []
-    fact, inv_fact = factorial_tables(p, m, length - 1)
-    central = central_binom_table(p, m, length)
-    xpw = [1 % m] * length
-    for k in range(1, length):
-        xpw[k] = xpw[k - 1] * x % m
-    out = [0] * length
-    for l in range(length):
-        acc = 0
-        for a in range(l // 2 + 1):
-            k = l - a
-            t = inv_fact[a] * inv_fact[a] % m * inv_fact[l - 2 * a] % m
-            acc += t * central[k] % m * xpw[k] % m
-        out[l] = acc % m * fact[l] % m
-    return out
+def horner(a: list[int], n: int, m: int) -> int:
+    """a(n) mod m for the coefficients of a, lowest power first."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * n + c) % m
+    return acc
 
 
 def genfranel_table(p: int, m: int, r: int, length: int) -> list[int]:
@@ -151,26 +128,6 @@ def genfranel_table(p: int, m: int, r: int, length: int) -> list[int]:
     return out
 
 
-def weighted_cube_table(p: int, m: int, w: int, length: int) -> list[int]:
-    """sum_k binom(n,k)^3 w^k for n < length (w = 1 gives franel_table)."""
-    if length > p:
-        raise ValueError(f"length must be <= p, got {length} > {p}")
-    if length <= 0:
-        return []
-    fact, inv_fact = factorial_tables(p, m, length - 1)
-    wpw = [1 % m] * length
-    for k in range(1, length):
-        wpw[k] = wpw[k - 1] * w % m
-    out = [0] * length
-    for n in range(length):
-        acc = 0
-        for k in range(n + 1):
-            b = fact[n] * inv_fact[k] % m * inv_fact[n - k] % m
-            acc += b * b % m * b % m * wpw[k] % m
-        out[n] = acc % m
-    return out
-
-
 def triangle_weighted_sums(p: int, m: int) -> list[int]:
     """binom(2k,k) * sum_{n=k}^{p-1} (2n+1) binom(n+k,2k) mod m, k = 0..p-2.
 
@@ -178,7 +135,9 @@ def triangle_weighted_sums(p: int, m: int) -> list[int]:
     stays in 1..p-1.
     """
     inv = inverse_table(p, m, p - 1)
-    central = central_binom_table(p, m, p)
+    central = [1 % m] * p
+    for k in range(p - 1):
+        central[k + 1] = central[k] * (4 * k + 2) % m * inv[k + 1] % m
     out = [0] * (p - 1)
     for k in range(p - 1):
         b = 1 % m

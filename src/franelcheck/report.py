@@ -5,11 +5,10 @@ A row serializes to the stable JSON schema
     {"check_id": str, "class": str, "prime": int, "modulus_exponent": int,
      "params": object, "lhs": str, "rhs": str, "pass": bool}
 
-with lhs/rhs as decimal strings (residues mod p^4 overflow doubles).  Rows
-produced by the expression evaluator may instead carry an "error" field
-when a statement could not be evaluated at some prime (e.g. division by a
-non-invertible residue); errors are distinct from failures.  Timing is
-kept on the object but never serialized, so reports are reproducible.
+with lhs/rhs as decimal strings (residues mod p^4 overflow doubles).  A row
+may instead carry an "error" field when a statement or a check could not be
+evaluated at some prime (e.g. division by a non-invertible residue); errors
+are distinct from failures.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ class CheckResult:
     lhs: int
     rhs: int
     passed: bool
-    elapsed: float = 0.0
     error: str | None = None
 
     def row_dict(self) -> dict:

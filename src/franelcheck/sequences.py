@@ -187,7 +187,8 @@ class PrimeContext:
         """Row sums of r-th binomial powers mod p^e.
 
         r = 1, 2, 3 are 2^k, the central binomials and the cubed-row sums,
-        and return those tables; the general kernel handles any other r.
+        and return those tables.  The kernel boundary builds r = 4 by its
+        recurrence in O(p) and r >= 5 by direct O(p^2) row sums.
         """
         if r == 1:
             return self.powers(e, 2)

@@ -18,7 +18,6 @@ per-index k families) emit one row per parameter case.
 from __future__ import annotations
 
 import logging
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -480,7 +479,12 @@ def check_ids() -> list[str]:
 
 
 def run_check(check_id: str, p: int) -> list[CheckResult]:
-    """Evaluate one check at one prime; one result per parameter case."""
+    """Evaluate one check at one prime; one result per parameter case.
+
+    A bad id or prime raises ValueError.  Any exception from the evaluation
+    itself becomes one error row for this (check, prime), so the rest of a
+    run still completes.
+    """
     try:
         spec = REGISTRY[check_id]
     except KeyError:
@@ -489,10 +493,23 @@ def run_check(check_id: str, p: int) -> list[CheckResult]:
         raise ValueError(f"p={p} is not prime")
     if p < spec.min_prime:
         raise ValueError(f"p={p} is below the smallest admissible prime {spec.min_prime} for {check_id}")
-    ctx = get_context(p)
-    start = time.perf_counter()
-    cases = spec.evaluate(ctx)
-    elapsed = time.perf_counter() - start
+    try:
+        cases = spec.evaluate(get_context(p))
+    except Exception as exc:
+        log.info("%s raised at p=%d", check_id, p, exc_info=True)
+        return [
+            CheckResult(
+                check_id=check_id,
+                check_class=spec.check_class,
+                prime=p,
+                modulus_exponent=spec.modulus_exponent,
+                params={},
+                lhs=0,
+                rhs=0,
+                passed=False,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        ]
     return [
         CheckResult(
             check_id=check_id,
@@ -503,7 +520,6 @@ def run_check(check_id: str, p: int) -> list[CheckResult]:
             lhs=lhs,
             rhs=rhs,
             passed=lhs == rhs,
-            elapsed=elapsed,
         )
         for params, e, lhs, rhs in cases
     ]

@@ -19,7 +19,7 @@ from franelcheck.identities import (
     verify_hockey_stick,
     verify_lemma_2_2,
     verify_lemma_2_6_exact,
-    verify_recurrence_franel,
+    verify_recurrences,
     verify_strehl_and_1_3,
 )
 from franelcheck.mining import check_3adic_integrality, cornacchia_x2_3y2, scan_ar
@@ -111,7 +111,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_identity_suite():
     outcomes = [
-        verify_recurrence_franel(200),
+        verify_recurrences(),
         verify_eq_2_2(25),
         verify_chu_vandermonde(20),
         verify_andersen(20),

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from franelcheck import suite
 from franelcheck.cli import main
+from franelcheck.modring import NonInvertibleError
 from franelcheck.suite import run_check
 
 
@@ -60,6 +63,39 @@ def test_verify_text_and_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "--primes", "5..13")
     assert code == 0
     assert "C15" in out and "0 fail" in out
+
+
+def test_verify_check_error_is_one_row(capsys, monkeypatch):
+    spec = suite.REGISTRY["C15"]
+
+    def evaluate(ctx):
+        if ctx.p == 7:
+            raise NonInvertibleError("7 is not invertible mod 49")
+        return spec.evaluate(ctx)
+
+    monkeypatch.setitem(suite.REGISTRY, "C15", dataclasses.replace(spec, evaluate=evaluate))
+    outputs = []
+    for workers in ("1", "2"):
+        code, out, err = run_cli(capsys, "verify", "--id", "C15,WOL", "--primes", "5..13",
+                                 "--format", "json", "--workers", workers)
+        assert code == 1 and "error:" not in err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    rows = json.loads(outputs[0])
+    errors = [r for r in rows if "error" in r]
+    assert errors == [{
+        "check_id": "C15", "class": spec.check_class, "prime": 7,
+        "modulus_exponent": spec.modulus_exponent, "params": {}, "lhs": "", "rhs": "",
+        "pass": False, "error": "NonInvertibleError: 7 is not invertible mod 49",
+    }]
+    # every other row is still there: C15 at 5, 11, 13 and WOL's three parts at 5..13
+    assert [(r["check_id"], r["prime"]) for r in rows if "error" not in r] == (
+        [("C15", p) for p in (5, 11, 13)] + [("WOL", p) for p in (5, 7, 11, 13) for _ in range(3)]
+    )
+    assert all(r["pass"] for r in rows if "error" not in r)
+    # a bad prime range is still a usage error
+    code, _, err = run_cli(capsys, "verify", "--id", "C15", "--primes", "4..4")
+    assert code == 2 and "error: " in err
 
 
 def test_verify_csv_schema(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from franelcheck.expr import (
+    EXACT_INDEX_CAP,
+    SUM_LENGTH_CAP,
     BinOp,
     Call,
     CongruenceStmt,
@@ -138,6 +141,37 @@ def test_integer_division_by_zero_is_an_error_row():
         for row in rep.rows:
             assert row.error == message.format(p=row.prime) + " is a division by zero"
         assert rep.exit_code() == 1
+
+
+@pytest.mark.parametrize(
+    "text,cap",
+    [
+        ("f(p^p)", "f() index is past the cap EXACT_INDEX_CAP = 2000"),
+        ("A(13^p)", "A() index is past the cap EXACT_INDEX_CAP = 2000"),
+        ("fr(p^10, p)", "fr() power is past the cap EXACT_POWER_CAP = 64"),
+        ("fr(3, p^p)", "fr() index is past the cap EXACT_INDEX_CAP = 2000"),
+        ("sum(k=0..13^p, k)", "sum length is past the cap SUM_LENGTH_CAP = 1000000"),
+        ("sum(k=0..13^p, 1)", "sum length is past the cap SUM_LENGTH_CAP = 1000000"),
+        ("binom(13^p, p^3)", "binom() factor count is past the cap EXACT_INDEX_CAP = 2000"),
+        ("binom(-13^p, p^3)", "binom() factor count is past the cap EXACT_INDEX_CAP = 2000"),
+        ("2^(2^(p^p))", "integer power size in bits is past the cap POWER_BITS_CAP = 1048576"),
+    ],
+)
+def test_exact_arithmetic_past_a_cap_is_an_error_row(text, cap):
+    start = time.perf_counter()
+    rep = eval_congruence(parse(f"{text} ≡ 0 (mod p^2)"), [101, 103])
+    assert time.perf_counter() - start < 1
+    assert [row.error for row in rep.rows] == [cap, cap]
+    assert rep.exit_code() == 1
+
+
+def test_exact_arithmetic_below_the_caps_still_runs():
+    assert EXACT_INDEX_CAP == 2000 and SUM_LENGTH_CAP == 10**6
+    ring = ring_new(5, 2)
+    assert eval_expr(parse("f(2000)"), ring).value == franel_exact(2000) % 25
+    assert eval_expr(parse("fr(64, 5)"), ring).value == sum(math.comb(5, j) ** 64 for j in range(6)) % 25
+    assert eval_expr(parse("binom(13^p, 2000)"), ring).value == binom_exact(13**5, 2000) % 25
+    assert eval_expr(parse("sum(k=1..10^6, 1)"), ring).value == 10**6 % 25
 
 
 def test_binom_outside_the_table_matches_binom_exact():

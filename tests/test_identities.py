@@ -7,16 +7,69 @@ from franelcheck.identities import (
     verify_hockey_stick,
     verify_lemma_2_2,
     verify_lemma_2_6_exact,
-    verify_recurrence_franel,
+    verify_recurrence,
+    verify_recurrences,
     verify_strehl_and_1_3,
 )
+from franelcheck.certificates import CERTIFICATES
+from franelcheck.kernels.recurrences import RECURRENCES, Recurrence
 from franelcheck.sequences import franel_exact
 
 
 def test_recurrence_example_n1():
     # 4 f_2 = 16 f_1 + 8 f_0
     assert 4 * franel_exact(2) == 16 * franel_exact(1) + 8 * franel_exact(0)
-    assert verify_recurrence_franel(50).passed
+    assert verify_recurrence("franel").passed
+
+
+def test_every_table_recurrence_is_proven():
+    out = verify_recurrences()
+    assert out.passed, out.counterexample
+    assert out.range_tested == {"families": list(RECURRENCES)}
+    # every sum claim has its certificate, every entry its proof
+    for name in RECURRENCES:
+        assert verify_recurrence(name).passed, name
+    assert set(CERTIFICATES) <= set(RECURRENCES)
+
+
+def _bump(rows, d, e):
+    rows = [list(row) for row in rows]
+    rows[d][e] += 1
+    return tuple(tuple(row) for row in rows)
+
+
+def test_recurrence_mutation_flips_to_fail(monkeypatch):
+    # one coefficient of the order-4 fpoly recurrence, its certificate, an
+    # initial value, and the term-ratio recurrence of the shifted binomials
+    rec = RECURRENCES["fpoly"]
+    coeffs = list(rec.coeffs)
+    coeffs[2] = _bump(coeffs[2], 1, 1)
+    out = verify_recurrence("fpoly", recurrence=Recurrence(tuple(coeffs), rec.init))
+    assert not out.passed and out.counterexample["part"] == "certificate"
+    ce = out.counterexample
+    assert ce["lhs"] != ce["rhs"]
+
+    cert = list(CERTIFICATES["weighted_cubes"])
+    en, ek, ex, c = cert[100]
+    cert[100] = (en, ek, ex, c + 1)
+    out = verify_recurrence("weighted_cubes", certificate=tuple(cert))
+    assert not out.passed and out.counterexample["part"] == "certificate"
+
+    rec = RECURRENCES["weighted_cubes"]
+    out = verify_recurrence("weighted_cubes", recurrence=Recurrence(rec.coeffs, _bump(rec.init, 3, 1)))
+    assert not out.passed and out.counterexample["part"] == "init"
+
+    rec = RECURRENCES["shift"]
+    mutant = Recurrence((_bump(rec.coeffs[0], 1, 0), rec.coeffs[1]), rec.init)
+    out = verify_recurrence("shift", recurrence=mutant)
+    assert not out.passed and out.counterexample["part"] == "recurrence"
+
+    # the suite proves the table the kernel boundary reads, and names the family
+    rec = RECURRENCES["franel"]
+    lead = _bump(rec.coeffs[-1], 0, 0)
+    monkeypatch.setitem(RECURRENCES, "franel", Recurrence(rec.coeffs[:-1] + (lead,), rec.init))
+    out = verify_recurrences()
+    assert not out.passed and out.counterexample["family"] == "franel"
 
 
 def test_eq_2_2_small():

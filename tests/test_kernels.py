@@ -1,9 +1,10 @@
 """Kernel-level tests, including the native/pure parity contract."""
 
+import contextlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from franelcheck import kernels
@@ -40,65 +41,69 @@ def test_factorial_tables_small():
 
 
 def test_franel_table_values():
-    assert pure.franel_table(5, 25, 5) == [1, 2, 10, 6, 21]
-    assert pure.franel_table(5, 125, 5)[-1] == 96
-    assert pure.franel_table(11, 11, 1) == [1]
+    assert kernels.franel_table(5, 25, 5) == [1, 2, 10, 6, 21]
+    assert kernels.franel_table(5, 125, 5)[-1] == 96
+    assert kernels.franel_table(11, 11, 1) == [1]
     with pytest.raises(ValueError):
-        pure.franel_table(5, 25, 6)
+        kernels.franel_table(5, 25, 6)
 
 
 def test_central_binom_table_values():
-    assert pure.central_binom_table(7, 343, 5) == [1, 2, 6, 20, 70 % 343]
+    assert kernels.central_binom_table(7, 343, 5) == [1, 2, 6, 20, 70 % 343]
     # upper-range entries are divisible by p but nonzero mod p^2
-    assert pure.central_binom_table(5, 5, 5)[3:] == [0, 0]
-    assert pure.central_binom_table(5, 25, 5)[3] == 20
-    assert pure.central_binom_table(5, 25, 5)[4] == 70 % 25
+    assert kernels.central_binom_table(5, 5, 5)[3:] == [0, 0]
+    assert kernels.central_binom_table(5, 25, 5)[3] == 20
+    assert kernels.central_binom_table(5, 25, 5)[4] == 70 % 25
 
 
 def test_central_binom_against_comb():
     for p, e in RINGS:
         m = p**e
-        got = pure.central_binom_table(p, m, p)
+        got = kernels.central_binom_table(p, m, p)
         assert got == [math.comb(2 * k, k) % m for k in range(p)]
 
 
 def test_binom_shift_table_integer_r():
     # r = 0: all ones; r = 2: binom(k+2,k)
-    assert pure.binom_shift_table(7, 49, 0, 7) == [1] * 7
-    got = pure.binom_shift_table(7, 49, 2, 7)
+    assert kernels.binom_shift_table(7, 49, 0, 7) == [1] * 7
+    got = kernels.binom_shift_table(7, 49, 2, 7)
     assert got == [math.comb(k + 2, k) % 49 for k in range(7)]
 
 
 def test_fpoly_table_values():
     # x = 0 collapses to [1, 0, 0, ...]
-    assert pure.fpoly_table(7, 49, 0, 7) == [1, 0, 0, 0, 0, 0, 0]
-    got = pure.fpoly_table(7, 49, 2, 7)
+    assert kernels.fpoly_table(7, 49, 0, 7) == [1, 0, 0, 0, 0, 0, 0]
+    got = kernels.fpoly_table(7, 49, 2, 7)
     assert got[2] == 32
     # x = 1 must reproduce the cubed-row sums
-    assert pure.fpoly_table(7, 49, 1, 7) == pure.franel_table(7, 49, 7)
+    assert kernels.fpoly_table(7, 49, 1, 7) == kernels.franel_table(7, 49, 7)
 
 
 def test_genfranel_closed_forms():
+    # the direct row sums against the recurrences
     for p, e in [(7, 2), (11, 1), (13, 2)]:
         m = p**e
-        assert pure.genfranel_table(p, m, 2, p) == pure.central_binom_table(p, m, p)
-        assert pure.genfranel_table(p, m, 3, p) == pure.franel_table(p, m, p)
+        assert pure.genfranel_table(p, m, 2, p) == kernels.central_binom_table(p, m, p)
+        assert pure.genfranel_table(p, m, 3, p) == kernels.franel_table(p, m, p)
         assert pure.genfranel_table(p, m, 1, p) == [pow(2, k, m) for k in range(p)]
+        for r in (1, 2, 3, 4):
+            assert kernels.genfranel_table(p, m, r, p) == pure.genfranel_table(p, m, r, p)
 
 
 def test_genfranel_exact_small():
     got = pure.genfranel_table(13, 13**2, 4, 8)
     for k in range(8):
         assert got[k] == sum(math.comb(k, j) ** 4 for j in range(k + 1)) % 13**2
+    assert kernels.genfranel_table(13, 13**2, 4, 8) == got
 
 
 def test_weighted_cube_table_against_direct():
     p, m, w = 11, 121, 121 - 8  # w = -8
-    got = pure.weighted_cube_table(p, m, w, p)
+    got = kernels.weighted_cube_table(p, m, w, p)
     for n in range(p):
         direct = sum(math.comb(n, k) ** 3 * (-8) ** k for k in range(n + 1)) % m
         assert got[n] == direct
-    assert pure.weighted_cube_table(p, m, 1, p) == pure.franel_table(p, m, p)
+    assert kernels.weighted_cube_table(p, m, 1, p) == kernels.franel_table(p, m, p)
 
 
 def test_triangle_weighted_sums_against_direct():
@@ -113,21 +118,40 @@ def test_triangle_weighted_sums_against_direct():
             assert got[k] == direct % m
 
 
+@contextlib.contextmanager
+def backend(force_pure):
+    """Route the kernel boundary to one backend (native only when built)."""
+    saved = kernels._FORCE_PURE
+    kernels._FORCE_PURE = force_pure
+    try:
+        yield
+    finally:
+        kernels._FORCE_PURE = saved
+
+
+def on_both_backends(call):
+    """call() through the boundary on the native backend, then on pure."""
+    with backend(False):
+        native = call()
+    with backend(True):
+        return native, call()
+
+
 @needs_native
 @pytest.mark.parametrize("p,e", RINGS)
 def test_native_pure_parity(p, e):
     m = p**e
     assert _native.inverse_table(p, m, p - 1) == pure.inverse_table(p, m, p - 1)
-    assert _native.franel_table(p, m, p) == pure.franel_table(p, m, p)
-    assert _native.central_binom_table(p, m, p) == pure.central_binom_table(p, m, p)
-    for rbar in (0, 2, m - 1, m // 2):
-        assert _native.binom_shift_table(p, m, rbar, p) == pure.binom_shift_table(p, m, rbar, p)
-    for x in (0, 1, 2, m - 2):
-        assert _native.fpoly_table(p, m, x, p) == pure.fpoly_table(p, m, x, p)
+    calls = [lambda: kernels.franel_table(p, m, p), lambda: kernels.central_binom_table(p, m, p)]
+    calls += [lambda r=r: kernels.binom_shift_table(p, m, r, p) for r in (0, 2, m - 1, m // 2)]
+    calls += [lambda x=x: kernels.fpoly_table(p, m, x, p) for x in (0, 1, 2, m - 2)]
+    calls += [lambda w=w: kernels.weighted_cube_table(p, m, w, p) for w in (1, (m - 8) % m)]
+    calls += [lambda r=r: kernels.genfranel_table(p, m, r, p) for r in (1, 2, 3, 4)]
+    for call in calls:
+        native, pure_list = on_both_backends(call)
+        assert native == pure_list
     for r in (1, 2, 3, 4, 6):
         assert _native.genfranel_table(p, m, r, p) == pure.genfranel_table(p, m, r, p)
-    for w in (1, (m - 8) % m):
-        assert _native.weighted_cube_table(p, m, w, p) == pure.weighted_cube_table(p, m, w, p)
     assert _native.triangle_weighted_sums(p, p**4) == pure.triangle_weighted_sums(p, p**4)
 
 
@@ -135,14 +159,20 @@ def test_native_pure_parity(p, e):
 def test_native_parity_larger_prime():
     p = 499
     m = p * p
-    assert _native.fpoly_table(p, m, 3, p) == pure.fpoly_table(p, m, 3, p)
+    native, pure_list = on_both_backends(lambda: kernels.fpoly_table(p, m, 3, p))
+    assert native == pure_list
     assert _native.triangle_weighted_sums(p, p**4) == pure.triangle_weighted_sums(p, p**4)
     # the largest power of p below 2**63: products and sums use all 128 bits
     m = p**7
     assert m < kernels.NATIVE_MODULUS_LIMIT < m * p
-    assert _native.fpoly_table(p, m, m - 3, p) == pure.fpoly_table(p, m, m - 3, p)
+    for call in (
+        lambda: kernels.fpoly_table(p, m, m - 3, p),
+        lambda: kernels.weighted_cube_table(p, m, m - 8, p),
+        lambda: kernels.genfranel_table(p, m, 4, p),
+    ):
+        native, pure_list = on_both_backends(call)
+        assert native == pure_list
     assert _native.genfranel_table(p, m, 5, p) == pure.genfranel_table(p, m, 5, p)
-    assert _native.weighted_cube_table(p, m, m - 8, p) == pure.weighted_cube_table(p, m, m - 8, p)
     assert _native.triangle_weighted_sums(p, m) == pure.triangle_weighted_sums(p, m)
 
 
@@ -176,10 +206,12 @@ def test_dispatch_large_modulus_falls_back(monkeypatch):
 def test_boundary_reduces_parameters_for_both_backends():
     # a native backend used to raise OverflowError here and MemoryError for n < 0
     p, m = 11, 121
-    assert kernels.weighted_cube_table(p, m, -8, p) == pure.weighted_cube_table(p, m, m - 8, p)
-    assert kernels.fpoly_table(p, m, -1, p) == pure.fpoly_table(p, m, m - 1, p)
+    assert kernels.weighted_cube_table(p, m, -8, p) == [
+        sum(math.comb(n, k) ** 3 * (-8) ** k for k in range(n + 1)) % m for n in range(p)
+    ]
+    assert kernels.fpoly_table(p, m, -1, p) == [franel_poly_exact(n, -1) % m for n in range(p)]
     big = 2**64 + 5
-    assert kernels.binom_shift_table(p, m, big, p) == pure.binom_shift_table(p, m, big % m, p)
+    assert kernels.binom_shift_table(p, m, big, p) == [binom_exact(k + big, k) % m for k in range(p)]
     for bad in (
         lambda: kernels.inverse_table(p, m, -2),
         lambda: kernels.inverse_table(p, m, p),
@@ -191,27 +223,56 @@ def test_boundary_reduces_parameters_for_both_backends():
             bad()
 
 
+# central binomials mod 25: a_0 = -2 - 4n, a_1 = n + 1, which is 5 at n = 4
+CENTRAL_MOD_25 = [[23, 21], [1, 1]]
+
+
+@pytest.mark.parametrize("force_pure", [False, True])
+def test_precursive_table_refuses_malformed_recurrences(force_pure):
+    with backend(force_pure):
+        assert kernels.precursive_table(7, 25, CENTRAL_MOD_25, [1], 4) == [1, 2, 6, 20]
+        for coeffs, init in (([[1]], []), (CENTRAL_MOD_25, []), (CENTRAL_MOD_25, [1, 2])):
+            with pytest.raises(ValueError):
+                kernels.precursive_table(7, 25, coeffs, init, 4)
+        with pytest.raises(ValueError):  # the lead 5 has no inverse mod 25
+            kernels.precursive_table(7, 25, CENTRAL_MOD_25, [1], 6)
+        with pytest.raises(ValueError):  # 2 has no inverse mod 10
+            kernels.central_binom_table(7, 10, 7)
+
+
 @needs_native
 def test_native_refuses_arguments_outside_its_range():
     with pytest.raises(OverflowError):
         _native.inverse_table(11, 121, -2)
     with pytest.raises(OverflowError):
-        _native.fpoly_table(11, 121, 2**64, 11)
+        _native.precursive_table(11, 121, [[1], [2**64]], [1], 11)
     with pytest.raises(ValueError):
         _native.inverse_table(11, 121, 11)
-    with pytest.raises(ValueError):
-        _native.franel_table(5, 25, 6)
+    with pytest.raises(ValueError):  # length past p
+        _native.precursive_table(5, 25, [[1], [1]], [1], 6)
     with pytest.raises(ValueError):
         _native.genfranel_table(5, 25, 0, 5)
     for m in (0, 2**63):
         with pytest.raises(ValueError):
-            _native.fpoly_table(5, m, 1, 3)
-    with pytest.raises(ValueError):  # 5 has no inverse mod 10
-        _native.central_binom_table(7, 10, 7)
+            _native.precursive_table(5, m, [[1], [1]], [1], 3)
+    with pytest.raises(ValueError):  # 5 has no inverse mod 25
+        _native.precursive_table(7, 25, CENTRAL_MOD_25, [1], 6)
+    # malformed recurrences: wrong lengths, entries at or past m, a non-list a_i
+    for coeffs, init in (
+        ([[1]], []),
+        ([[1], [1]], []),
+        ([[1], [1]], [1, 1]),
+        ([[1], [25]], [1]),
+        ([[1], [1]], [25]),
+    ):
+        with pytest.raises(ValueError):
+            _native.precursive_table(5, 25, coeffs, init, 5)
+    with pytest.raises(TypeError):
+        _native.precursive_table(5, 25, [[1], 1], [1], 5)
     with pytest.raises(MemoryError):  # the table size overflows before any allocation
         _native.triangle_weighted_sums(2**62, 25)
     with pytest.raises(TypeError):
-        _native.franel_table(5, 25)
+        _native.precursive_table(5, 25)
 
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
@@ -225,44 +286,56 @@ def kernel_inputs(draw):
     return p, p**e, sorted({0, 1, p, draw(st.integers(0, p))})
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+QUARTER = "1/4"  # the residue of 1/4, where fpoly's minimal recurrence degenerates
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     ring=kernel_inputs(),
-    param=st.integers(-3, 3) | st.integers(-(2**70), 2**70),
+    param=st.sampled_from([0, 1, -1, QUARTER]) | st.integers(-(2**70), 2**70),
     r=st.integers(1, 7),
 )
+@example(ring=(3, 3, [0, 1, 2, 3]), param=QUARTER, r=4)
+@example(ring=(3, 81, [0, 1, 3]), param=-1, r=1)
+@example(ring=(5, 625, [0, 1, 4, 5]), param=2**70, r=2)
+@example(ring=(7, 7, [0, 1, 5, 7]), param=QUARTER, r=3)
+@example(ring=(7, 2401, [0, 1, 7]), param=0, r=5)
 def test_backends_agree_with_exact_arithmetic(ring, param, r):
-    """_native, pure and the dispatcher against exact integers, on any parameter."""
+    """Both backends through the boundary against exact integers, on any parameter."""
     p, m, lengths = ring
-    backends = [pure] + ([_native] if _native is not None else [])
+    if param == QUARTER:
+        param = pow(4, -1, m)
+    backends = [True] + ([False] if _native is not None else [])
 
-    def agree(name, args, want):
-        # the dispatcher takes the raw parameter; the backends take it reduced
-        assert getattr(kernels, name)(p, m, *args) == want, name
-        reduced = [a % m for a in args[:-1]] + list(args[-1:])
-        for backend in backends:
-            assert getattr(backend, name)(p, m, *reduced) == want, (backend.__name__, name)
+    def agree(call, want, name):
+        for force_pure in backends:
+            with backend(force_pure):
+                assert call() == want, (name, force_pure)
 
     for length in lengths:
         ks = range(length)
         if length:
-            agree("inverse_table", (length - 1,),
-                  [0] + [pow(i, -1, m) for i in range(1, length)])
-        agree("franel_table", (length,), [franel_exact(k) % m for k in ks])
-        agree("central_binom_table", (length,), [math.comb(2 * k, k) % m for k in ks])
-        agree("binom_shift_table", (param, length), [binom_exact(k + param, k) % m for k in ks])
-        agree("fpoly_table", (param, length), [franel_poly_exact(k, param) % m for k in ks])
-        agree("weighted_cube_table", (param, length),
-              [sum(math.comb(k, j) ** 3 * param**j for j in range(k + 1)) % m for k in ks])
-        want = [generalized_franel(k, r) % m for k in ks]
-        assert kernels.genfranel_table(p, m, r, length) == want
-        for backend in backends:
-            assert backend.genfranel_table(p, m, r, length) == want, backend.__name__
+            agree(lambda: kernels.inverse_table(p, m, length - 1),
+                  [0] + [pow(i, -1, m) for i in range(1, length)], "inverse_table")
+        agree(lambda: kernels.franel_table(p, m, length), [franel_exact(k) % m for k in ks], "franel")
+        agree(lambda: kernels.central_binom_table(p, m, length),
+              [math.comb(2 * k, k) % m for k in ks], "central")
+        agree(lambda: kernels.binom_shift_table(p, m, param, length),
+              [binom_exact(k + param, k) % m for k in ks], "shift")
+        agree(lambda: kernels.fpoly_table(p, m, param, length),
+              [franel_poly_exact(k, param) % m for k in ks], "fpoly")
+        agree(lambda: kernels.weighted_cube_table(p, m, param, length),
+              [sum(math.comb(k, j) ** 3 * param**j for j in range(k + 1)) % m for k in ks],
+              "weighted_cubes")
+        for s in sorted({1, 2, 3, 4, r}):
+            agree(lambda: kernels.genfranel_table(p, m, s, length),
+                  [generalized_franel(k, s) % m for k in ks], f"genfranel r={s}")
+        native_or_pure = [pure] + ([_native] if _native is not None else [])
+        for impl in native_or_pure:
+            assert impl.genfranel_table(p, m, r, length) == [generalized_franel(k, r) % m for k in ks]
 
     want = [
         math.comb(2 * k, k) * sum((2 * n + 1) * math.comb(n + k, 2 * k) for n in range(k, p)) % m
         for k in range(p - 1)
     ]
-    assert kernels.triangle_weighted_sums(p, m) == want
-    for backend in backends:
-        assert backend.triangle_weighted_sums(p, m) == want, backend.__name__
+    agree(lambda: kernels.triangle_weighted_sums(p, m), want, "triangle")
