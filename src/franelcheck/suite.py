@@ -478,6 +478,30 @@ def check_ids() -> list[str]:
     return list(REGISTRY)
 
 
+# An outcome is (params, modulus_exponent, lhs, rhs, passed, error): one
+# result row without its check and prime.  Pool workers send these plain
+# tuples back, which pickle far faster than CheckResult objects.
+Outcome = tuple[dict, int, int, int, bool, str | None]
+
+
+def _outcomes(spec: CheckSpec, p: int) -> list[Outcome]:
+    """Evaluate spec at p; an exception becomes one error outcome."""
+    try:
+        cases = spec.evaluate(get_context(p))
+    except Exception as exc:
+        log.info("%s raised at p=%d", spec.check_id, p, exc_info=True)
+        return [({}, spec.modulus_exponent, 0, 0, False, f"{type(exc).__name__}: {exc}")]
+    return [(params, e, lhs, rhs, lhs == rhs, None) for params, e, lhs, rhs in cases]
+
+
+def _rows(spec: CheckSpec, p: int, outcomes: list[Outcome]) -> list[CheckResult]:
+    cid, cls = spec.check_id, spec.check_class
+    return [
+        CheckResult(cid, cls, p, e, params, lhs, rhs, passed, error)
+        for params, e, lhs, rhs, passed, error in outcomes
+    ]
+
+
 def run_check(check_id: str, p: int) -> list[CheckResult]:
     """Evaluate one check at one prime; one result per parameter case.
 
@@ -493,45 +517,12 @@ def run_check(check_id: str, p: int) -> list[CheckResult]:
         raise ValueError(f"p={p} is not prime")
     if p < spec.min_prime:
         raise ValueError(f"p={p} is below the smallest admissible prime {spec.min_prime} for {check_id}")
-    try:
-        cases = spec.evaluate(get_context(p))
-    except Exception as exc:
-        log.info("%s raised at p=%d", check_id, p, exc_info=True)
-        return [
-            CheckResult(
-                check_id=check_id,
-                check_class=spec.check_class,
-                prime=p,
-                modulus_exponent=spec.modulus_exponent,
-                params={},
-                lhs=0,
-                rhs=0,
-                passed=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        ]
-    return [
-        CheckResult(
-            check_id=check_id,
-            check_class=spec.check_class,
-            prime=p,
-            modulus_exponent=e,
-            params=params,
-            lhs=lhs,
-            rhs=rhs,
-            passed=lhs == rhs,
-        )
-        for params, e, lhs, rhs in cases
-    ]
+    return _rows(spec, p, _outcomes(spec, p))
 
 
-def _prime_task(args: tuple[int, tuple[str, ...]]) -> dict[str, list[CheckResult]]:
-    p, ids = args
-    out: dict[str, list[CheckResult]] = {}
-    for cid in ids:
-        if p >= REGISTRY[cid].min_prime:
-            out[cid] = run_check(cid, p)
-    return out
+def _prime_task(p: int, ids: list[str]) -> dict[str, list[Outcome]]:
+    """One pool task: every admissible check of ids at p, as outcomes."""
+    return {cid: _outcomes(REGISTRY[cid], p) for cid in ids if p >= REGISTRY[cid].min_prime}
 
 
 def run_suite(
@@ -543,7 +534,8 @@ def run_suite(
 
     The report is ordered by check id, then prime, then parameter case;
     the ordering (and hence any serialization) does not depend on the
-    worker count.
+    worker count.  The pool has at most one process per prime, and the
+    largest primes, which cost the most, are submitted first.
     """
     selected = list(ids) if ids is not None else check_ids()
     for cid in selected:
@@ -555,12 +547,18 @@ def run_suite(
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
-    tasks = [(p, tuple(selected)) for p in primes]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_prime = dict(zip(primes, pool.map(_prime_task, tasks)))
+    pool_size = min(workers, len(primes))
+    per_prime: dict[int, dict[str, list[CheckResult]]] = {}
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            futures = [(p, pool.submit(_prime_task, p, selected)) for p in reversed(primes)]
+            for p, future in futures:
+                per_prime[p] = {
+                    cid: _rows(REGISTRY[cid], p, outcomes) for cid, outcomes in future.result().items()
+                }
     else:
-        per_prime = {p: _prime_task(t) for p, t in zip(primes, tasks)}
+        for p in primes:
+            per_prime[p] = {cid: run_check(cid, p) for cid in selected if p >= REGISTRY[cid].min_prime}
     rows: list[CheckResult] = []
     for cid in sorted(selected):
         for p in primes:

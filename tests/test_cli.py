@@ -98,6 +98,28 @@ def test_verify_check_error_is_one_row(capsys, monkeypatch):
     assert code == 2 and "error: " in err
 
 
+def test_verify_error_row_bytes_do_not_depend_on_workers(capsys, monkeypatch):
+    spec = suite.REGISTRY["T14_r"]
+
+    def evaluate(ctx):
+        if ctx.p == 11:
+            raise ZeroDivisionError("no inverse at 11")
+        return spec.evaluate(ctx)
+
+    monkeypatch.setitem(suite.REGISTRY, "T14_r", dataclasses.replace(spec, evaluate=evaluate))
+    for fmt in ("json", "csv"):
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(capsys, "verify", "--id", "C15,T14_r", "--primes", "5..13",
+                                   "--format", fmt, "--workers", workers)
+            assert code == 1
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+    rows = json.loads(run_cli(capsys, "verify", "--id", "T14_r", "--primes", "5..13",
+                              "--format", "json", "--workers", "2")[1])
+    assert [r["error"] for r in rows if "error" in r] == ["ZeroDivisionError: no inverse at 11"]
+
+
 def test_verify_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "WOL", "--primes", "5..7", "--format", "csv")
     assert code == 0

@@ -1,11 +1,13 @@
 import math
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from franelcheck import suite
 from franelcheck.modring import jacobi
 from franelcheck.primes import primes_in_range
-from franelcheck.report import render_json
+from franelcheck.report import render_csv, render_json, render_text
 from franelcheck.suite import REGISTRY, check_ids, run_check, run_suite
 
 ALL_IDS = [
@@ -227,9 +229,58 @@ def test_suite_errors():
         run_suite(ids=[], primes=[5])
 
 
-def test_suite_deterministic_across_workers():
+POOLS: list["RecordingPool"] = []
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor: runs each task at once, in process,
+    and records the pool size asked for and the primes in submission order."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = []
+        POOLS.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, p, *args):
+        self.submitted.append(p)
+        future = Future()
+        future.set_result(fn(p, *args))
+        return future
+
+
+def test_pool_is_capped_at_the_prime_count_and_fed_largest_first(monkeypatch):
+    POOLS.clear()
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    ids, primes = ["C15", "T14_r", "C112_r"], [5, 7, 11, 13]
+    expected = render_json(run_suite(ids=ids, primes=primes, workers=1))
+    assert POOLS == []  # one worker runs in process
+    assert render_json(run_suite(ids=ids, primes=[13, 5, 11, 7], workers=64)) == expected
+    assert render_json(run_suite(ids=ids, primes=primes, workers=2)) == expected
+    assert [(pool.max_workers, pool.submitted) for pool in POOLS] == [
+        (4, [13, 11, 7, 5]),
+        (2, [13, 11, 7, 5]),
+    ]
+    # a single prime runs in process whatever --workers says
+    run_suite(ids=ids, primes=[7], workers=64)
+    assert len(POOLS) == 2
+
+
+class TwoProcessPool(ProcessPoolExecutor):
+    """A real process pool that starts at most two processes whatever it is asked."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=min(max_workers, 2))
+
+
+def test_suite_deterministic_across_workers(monkeypatch):
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", TwoProcessPool)
     primes = primes_in_range(5, 31)
-    rep1 = run_suite(primes=primes, workers=1)
-    rep2 = run_suite(primes=primes, workers=2)
-    rep8 = run_suite(primes=primes, workers=8)
-    assert render_json(rep1) == render_json(rep2) == render_json(rep8)
+    reports = [run_suite(primes=primes, workers=w) for w in (1, 2, 8)]
+    for render in (render_json, render_csv, render_text):
+        assert render(reports[0]) == render(reports[1]) == render(reports[2])
