@@ -95,9 +95,6 @@ def _json_params(params: dict) -> str:
     """A row's params object as json.dumps(indent=2) nests it in a row."""
     if not params:
         return "{}"
-    if len(params) == 1:  # most rows: one per-k or per-r parameter, no sort or join
-        [(k, v)] = params.items()
-        return f"{{\n      {_quote(k)}: {_json_value(v)}\n    }}"
     return "{\n" + ",\n".join([f"      {k}: {v}" for k, v in _param_items(params)]) + "\n    }"
 
 
@@ -144,19 +141,14 @@ def _csv_field(s: str) -> str:
 
 def render_csv(report: Report) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    names: dict[tuple[str, str], str] = {}  # (check id, class) -> their two fields
     for r in report.rows:
-        key = (r.check_id, r.check_class)
-        head = names.get(key)
-        if head is None:
-            head = names[key] = f"{_csv_field(r.check_id)},{_csv_field(r.check_class)}"
         params = "{}"
         if r.params:
             # the keys are quoted, so the JSON text always needs quoting
             text = ",".join([f"{k}:{v}" for k, v in _param_items(r.params)])
             params = '"{' + text.replace('"', '""') + '}"'
         values = "," if r.error is not None else f"{r.lhs},{r.rhs}"
-        lines.append(f"{head},{r.prime},{r.modulus_exponent},{params},{values},{r.passed}")
+        lines.append(f"{_csv_field(r.check_id)},{_csv_field(r.check_class)},{r.prime},{r.modulus_exponent},{params},{values},{r.passed}")
     return "\n".join(lines) + "\n"
 
 
