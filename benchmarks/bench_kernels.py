@@ -2,7 +2,8 @@
 """Time every table family through the kernel boundary, on both backends.
 
 Each family is built at --prime and at 4999 on the compiled and the pure
-backend, and the two lists must be equal.  The P-recursive families run in
+backend, and the two lists must be equal; so must the two backends' values
+of the reduction ``wdot`` over four of those tables.  The P-recursive families run in
 O(p), so their times grow about 10x from p = 499 to 4999; the direct row
 sums (r >= 5) and the triangle sums stay O(p^2).  At 4999 the O(p^2)
 kernels run on the compiled backend only, since pure takes tens of seconds.
@@ -39,6 +40,12 @@ def on_backend(force_pure, fn, repeats):
 def cases(p):
     """(name, O(p^2)?, call) for every family, mod p^2 unless noted."""
     m2, m4 = p * p, p**4
+    tables = [
+        kernels.franel_table(p, m2, p),
+        kernels.central_binom_table(p, m2, p),
+        kernels.fpoly_table(p, m2, 3, p),
+        kernels.binom_shift_table(p, m2, 1, p),
+    ]
     return [
         ("franel_table", False, lambda: kernels.franel_table(p, m2, p)),
         ("central_binom_table", False, lambda: kernels.central_binom_table(p, m2, p)),
@@ -48,6 +55,7 @@ def cases(p):
         ("genfranel_table r=4", False, lambda: kernels.genfranel_table(p, m2, 4, p)),
         ("genfranel_table r=6 (mod p)", True, lambda: kernels.genfranel_table(p, p, 6, p)),
         ("triangle_weighted_sums (mod p^4)", True, lambda: kernels.triangle_weighted_sums(p, m4)),
+        ("wdot, 4 tables, alternating", False, lambda: kernels.wdot(m2, True, *tables)),
     ]
 
 

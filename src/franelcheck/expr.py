@@ -30,6 +30,19 @@ PrimeContext, and binom(n,k) with 0 <= k <= n < 2p from its O(p) table of
 p-free factorials.  Evaluation errors are EvalError or NonInvertibleError,
 which eval_congruence turns into error rows.
 
+A sum(k=lo..hi, body) whose body is a product or quotient of the factors
+
+    constants in k, (-1)^k, c^k and /c^k (c constant),
+    f(k), binom(2*k,k), H(k), H2(k), fr(r,k) (r constant), 1/k and 1/k^2
+
+is lowered at compile time to one kernels.wdot call over slices of their
+tables.  That call runs only when no factor can raise on the range:
+0 <= lo, hi <= p-1, lo >= 1 with a 1/k factor, c a unit with a /c^k
+factor, r >= 1, and every constant (evaluated once, only for a nonempty
+range; divisors inverted through the ring) defined.  Every other sum, and
+every such sum where a condition fails, runs term by term, so values,
+error texts and error order are those of the term-by-term loop.
+
 Builtins: binom(n,k), f(n), fx(n,x), fr(r,n), A(n), H(n), H2(n), q2(),
 jacobi(a,n), inv(a).
 
@@ -46,6 +59,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Union
 
+from . import kernels
 from .modring import NonInvertibleError, PrimePowerRing, Residue, jacobi, ring_new
 from .report import CheckResult, Report
 from .sequences import (
@@ -645,11 +659,16 @@ def _ring_var(name: str, scope: dict[str, int]):
 
 
 def _ring_pow(node: BinOp, scope: dict[str, int], slots: itertools.count):
+    base, power = _ring(node.left, scope, slots), _ring_power(node, scope)
+    return lambda rt: power(rt, base(rt))
+
+
+def _ring_power(node: BinOp, scope: dict[str, int]):
+    """Maker of base^exponent from the runtime and the base's value."""
     exponent = _int_arg(node.right, scope, "exponent must be an integer expression")
-    base = _ring(node.left, scope, slots)
     literal = _is_negative_literal(node.right)
 
-    def make(rt):
+    def make(rt, base):
         m, inv = rt.m, rt.inv
 
         def power(x, b):
@@ -659,7 +678,7 @@ def _ring_pow(node: BinOp, scope: dict[str, int], slots: itertools.count):
                 raise EvalError("negative exponent must be a literal (inverse-power)")
             return pow(inv(b), -x, m)
 
-        return _apply(power, exponent(rt), base(rt))
+        return _apply(power, exponent(rt), base)
 
     return make
 
@@ -669,16 +688,20 @@ def _ring_sum(node: Sum, scope: dict[str, int], slots: itertools.count):
     lower = _int_arg(node.lower, scope, what)
     upper = _int_arg(node.upper, scope, what)
     s = next(slots)
-    body = _ring(node.body, {**scope, node.index: s}, slots)
+    body = _sum_body(node, {**scope, node.index: s}, slots)
 
     def make(rt):
         m, index = rt.m, rt.slots
-        term = body(rt)
+        term, as_wdot = body(rt)
         if type(term) is int:
             return _apply(lambda lo, hi: term * _sum_length(lo, hi) % m, lower(rt), upper(rt))
 
         def total(lo, hi):
             _sum_length(lo, hi)
+            if as_wdot is not None and lo <= hi:
+                value = as_wdot(lo, hi)
+                if value is not None:
+                    return value
             acc = 0
             for i in range(lo, hi + 1):
                 index[s] = i
@@ -692,6 +715,173 @@ def _ring_sum(node: Sum, scope: dict[str, int], slots: itertools.count):
 
 def _sum_length(lo: int, hi: int) -> int:
     return _capped(max(0, hi - lo + 1), SUM_LENGTH_CAP, "SUM_LENGTH_CAP", "sum length")
+
+
+# --- sums as one kernels.wdot call --------------------------------------------
+#
+# A sum whose body is a product of factors that each either do not depend on
+# the index k or read a table at k is one reduction over slices of those
+# tables.  Each factor is compiled and made once; its value feeds both the
+# closure loop and the wdot call.  The wdot call runs only where the loop
+# could raise on no term: every table covers the range and every value it
+# inverts (constants, the base of /c^k, k itself) is a unit.  Anything else,
+# and any language error from a constant, goes back to the closure loop,
+# which then raises the same error in the same order.
+
+
+def _force(value):
+    return value if type(value) is int else value()
+
+
+def _mentions(node: Ast, name: str) -> bool:
+    """Whether the variable name occurs free in node."""
+    if isinstance(node, Var):
+        return node.name == name
+    if isinstance(node, Neg):
+        return _mentions(node.operand, name)
+    if isinstance(node, BinOp):
+        return _mentions(node.left, name) or _mentions(node.right, name)
+    if isinstance(node, Call):
+        return any(_mentions(arg, name) for arg in node.args)
+    if isinstance(node, Sum):
+        return (
+            _mentions(node.lower, name)
+            or _mentions(node.upper, name)
+            or (node.index != name and _mentions(node.body, name))
+        )
+    return False
+
+
+def _product_factors(node: Ast, k: str, inverted: bool, out: list) -> bool:
+    """Append the (factor, inverted) pairs of node, a product or quotient, to
+    out; False when a divisor that depends on k is itself a product."""
+    if isinstance(node, BinOp) and node.op in "*/" and _mentions(node, k):
+        if inverted:
+            return False
+        return _product_factors(node.left, k, False, out) and _product_factors(
+            node.right, k, node.op == "/", out
+        )
+    out.append((node, inverted))
+    return True
+
+
+def _fold_product(node: Ast, positions: dict[int, int]):
+    """(rt, factor values) -> the value of node, a product of those factors."""
+    if id(node) in positions:
+        i = positions[id(node)]
+        return lambda rt, values: values[i]
+    left, right = _fold_product(node.left, positions), _fold_product(node.right, positions)
+    op = node.op
+    return lambda rt, values: _apply(rt.ops[op], left(rt, values), right(rt, values))
+
+
+#: table builtins at the index: name -> the PrimeContext table of their values
+_INDEX_TABLES = {"f": ("franel",), "H": ("harmonic", 1), "H2": ("harmonic", 2)}
+_SIGN = Neg(Num(1))
+
+
+def _lower_factor(node: Ast, inverted: bool, k: str, scope: dict[str, int], slots):
+    """(kind, maker) of one factor of a product body.
+
+    The maker gives, for a runtime, the factor's value for the closure loop
+    and a thunk for the wdot call: the scalar, a list of tables at
+    k = 0..p-1, or None where the factor could raise.  kind is "scalar" (no
+    k in it), "sign" ((-1)^k), "table", "inverse" (1/k or 1/k^2, which need
+    k >= 1) or None (the factor does not lower).
+    """
+    index = Var(k)
+    if isinstance(node, BinOp) and node.op == "^" and node.right == index and not _mentions(node.left, k):
+        base, power = _ring(node.left, scope, slots), _ring_power(node, scope)
+
+        def powers(rt):
+            b = base(rt)
+
+            def fetch():
+                c = _force(b)
+                return [rt.table("powers", rt.inv(c) if inverted else c)]
+
+            return power(rt, b), fetch
+
+        return ("sign" if node.left == _SIGN else "table"), powers
+    value = _ring(node, scope, slots)
+    if not _mentions(node, k):
+
+        def scalar(rt):
+            v = value(rt)
+            return v, (lambda: rt.inv(_force(v))) if inverted else (lambda: _force(v))
+
+        return "scalar", scalar
+    kind, tables = None, None
+    if inverted:
+        if node in (index, BinOp("^", index, Num(2))):
+            count = 1 if node == index else 2
+            kind, tables = "inverse", lambda rt: lambda: [rt.table("inv")] * count
+    elif node == Call("binom", (BinOp("*", Num(2), index), index)):
+        kind, tables = "table", lambda rt: lambda: [rt.table("central")]
+    elif isinstance(node, Call) and node.args[-1:] == (index,) and node.name in _INDEX_TABLES:
+        name = _INDEX_TABLES[node.name]
+        kind, tables = "table", lambda rt: lambda: [rt.table(*name)]
+    elif (
+        isinstance(node, Call) and node.name == "fr" and node.args[1] == index
+        and not _mentions(node.args[0], k)
+    ):
+        power = _int_arg(node.args[0], scope, "fr() power must be an integer expression")
+
+        def tables(rt):
+            def fetch(r=power(rt)):
+                r = _force(r)
+                return [rt.table("genfranel", r)] if r >= 1 else None
+
+            return fetch
+
+        kind = "table"
+    return kind, lambda rt: (value(rt), tables(rt) if kind else None)
+
+
+def _sum_body(node: Sum, scope: dict[str, int], slots):
+    """Maker of (the sum's term, the sum as a function (lo, hi) -> one wdot
+    call, or None where it must run as the closure loop).  The second is None
+    outright unless the body is a product of lowerable factors with a table."""
+    factors: list = []
+    if not _product_factors(node.body, node.index, False, factors):
+        body = _ring(node.body, scope, slots)
+        return lambda rt: (body(rt), None)
+    lowered = [_lower_factor(f, inverted, node.index, scope, slots) for f, inverted in factors]
+    fold = _fold_product(node.body, {id(f): i for i, (f, _) in enumerate(factors)})
+    kinds = [kind for kind, _ in lowered]
+    if None in kinds or not {"table", "inverse"} & set(kinds):
+        return lambda rt: (fold(rt, [make(rt)[0] for _, make in lowered]), None)
+    alternate = kinds.count("sign") % 2 == 1
+    first = 1 if "inverse" in kinds else 0
+
+    def make(rt):
+        p, m = rt.p, rt.m
+        made = [make(rt) for _, make in lowered]
+        parts = [(kind == "scalar", fetch) for kind, (_, fetch) in zip(kinds, made) if kind != "sign"]
+
+        def as_wdot(lo, hi):
+            if lo < first or hi >= p:
+                return None
+            scalar, tables = 1, []
+            try:
+                for is_scalar, fetch in parts:
+                    got = fetch()
+                    if got is None:
+                        return None
+                    if is_scalar:
+                        scalar = scalar * got % m
+                    else:
+                        tables += [table[lo : hi + 1] for table in got]
+            except _DSL_ERRORS:
+                return None
+            total = kernels.wdot(m, alternate, *tables)
+            if alternate and lo % 2:  # wdot's signs start at +1 at k = lo
+                total = -total
+            return scalar * total % m
+
+        return fold(rt, [value for value, _ in made]), as_wdot
+
+    return make
 
 
 def _binom(rt: _Runtime, n: int, k: int) -> int:

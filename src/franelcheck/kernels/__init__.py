@@ -8,11 +8,16 @@ path, which is arbitrary precision.
 
 Every call goes through the functions below, which validate the arguments
 and reduce residue parameters mod m once for both backends, so the two
-accept the same inputs and return the same lists.  Every table but the
-inverses, the triangle sums and the row sums of binomial powers r >= 5 is
-P-recursive: its function only evaluates an entry of ``RECURRENCES`` at its
-parameter mod m and runs it through the one kernel ``precursive_table``, in
-O(p).  ``franelcheck.identities`` proves each entry of that table.
+accept the same inputs and return the same results.  Five kernels sit
+behind them: ``precursive_table``, ``inverse_table``, ``genfranel_table``
+(row sums of binomial powers r >= 5), ``triangle_weighted_sums`` and
+``wdot``.  Every table but the inverses, the triangle sums and the row sums
+for r >= 5 is P-recursive: its function only evaluates an entry of
+``RECURRENCES`` at its parameter mod m and runs it through
+``precursive_table``, in O(p).  ``franelcheck.identities`` proves each
+entry of that table.  ``wdot`` is the one reduction, a sum over k of
+products of table entries, under the registry's sums and the sums the DSL
+lowers.
 
 Set ``FRANELCHECK_PURE=1`` to force the pure backend, e.g. to time or
 check an end-to-end run on it.
@@ -114,3 +119,12 @@ def weighted_cube_table(p: int, m: int, w: int, length: int) -> list[int]:
 
 def triangle_weighted_sums(p: int, m: int) -> list[int]:
     return _impl(m).triangle_weighted_sums(p, m)
+
+
+def wdot(m: int, alternate: bool, *tables: list[int]) -> int:
+    """sum_k (+-1)^k prod_j tables[j][k] mod m over lists of one length.
+
+    The sign alternates from +1 at k = 0 when alternate is true.  Entries
+    must already be in [0, m); callers shift an index range by slicing.
+    """
+    return _impl(m).wdot(m, alternate, *tables)

@@ -1,13 +1,14 @@
 /* Compiled table kernels: moduli below 2**63, 128-bit intermediates.
  *
- * Mirror of pure.py: the same four functions (the P-recursive kernel, the
- * inverse table, the direct row sums of binomial powers and the triangle
- * sums), positional signatures and loops, and bit-identical lists.  The
- * boundary in __init__.py validates and reduces the parameters first and
- * picks the recurrences; the checks here only keep a direct call from
- * dividing by zero, overflowing, or indexing out of bounds.  Every integer
- * argument or entry must be an int in [0, 2**64) (else TypeError or
- * OverflowError), and m < 2**63 keeps the sum in addmod below 2**64.
+ * Mirror of pure.py: the same five functions (the P-recursive kernel, the
+ * inverse table, the direct row sums of binomial powers, the triangle sums
+ * and the reduction wdot), positional signatures and loops, and
+ * bit-identical results.  The boundary in __init__.py validates and reduces
+ * the parameters first and picks the recurrences; the checks here only keep
+ * a direct call from dividing by zero, overflowing, or indexing out of
+ * bounds.  Every integer argument or entry must be an int in [0, 2**64)
+ * (else TypeError or OverflowError; wdot's table entries must be in [0, m),
+ * else ValueError), and m < 2**63 keeps the sum in addmod below 2**64.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -347,6 +348,74 @@ static PyObject *triangle_weighted_sums(PyObject *self, PyObject *const *args, P
     return res;
 }
 
+/* A wdot table entry: an int in [0, m).  Reading an int runs no Python
+ * code, so the lists keep their length while wdot reads them. */
+static int read_entry(PyObject *item, u64 m, u64 *out)
+{
+    if (!PyLong_Check(item)) {
+        PyErr_Format(PyExc_TypeError, "wdot() entries must be ints, got %.200s", Py_TYPE(item)->tp_name);
+        return -1;
+    }
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
+    if (overflow || v < 0 || (u64)v >= m) {
+        PyErr_Format(PyExc_ValueError, "wdot() entries must be in [0, m) for m=%llu", m);
+        return -1;
+    }
+    *out = (u64)v;
+    return 0;
+}
+
+/* wdot(m, alternate, *tables): sum_k (+-1)^k prod_j tables_j[k] mod m over
+ * lists of one length; the sign alternates from +1 at k = 0 when alternate
+ * is true.  No tables is the empty sum, 0. */
+static PyObject *wdot(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 2)
+        return PyErr_Format(PyExc_TypeError, "wdot() takes at least 2 positional arguments (%zd given)",
+                            nargs);
+    u64 m = PyLong_AsUnsignedLongLong(args[0]);
+    if (m == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    if (m == 0 || m >> 63)
+        return PyErr_Format(PyExc_ValueError, "wdot() needs 1 <= m < 2**63, got m=%llu", m);
+    int alternate = PyObject_IsTrue(args[1]);
+    if (alternate < 0)
+        return NULL;
+    PyObject *const *tables = args + 2;
+    Py_ssize_t count = nargs - 2, n = 0;
+    for (Py_ssize_t j = 0; j < count; j++) {
+        if (!PyList_Check(tables[j]))
+            return PyErr_Format(PyExc_TypeError, "wdot() tables must be lists, got %.200s",
+                                Py_TYPE(tables[j])->tp_name);
+        Py_ssize_t len = PyList_GET_SIZE(tables[j]);
+        if (j > 0 && len != n)
+            return PyErr_Format(PyExc_ValueError, "wdot() tables must have one length, got %zd and %zd",
+                                n, len);
+        n = len;
+    }
+    if (n == 0)
+        return PyLong_FromLong(0);
+    u64 *prod = alloc_tables(1, (u64)n), acc = 0;
+    if (prod == NULL)
+        return NULL;
+    /* one pass per table reads each list in order; below 2**32 products fit in 64 bits */
+    int narrow = m >> 32 == 0;
+    for (Py_ssize_t j = 0; j < count; j++)
+        for (Py_ssize_t k = 0; k < n; k++) {
+            u64 v;
+            if (read_entry(PyList_GET_ITEM(tables[j], k), m, &v) < 0) {
+                PyMem_Free(prod);
+                return NULL;
+            }
+            prod[k] = j == 0 ? v : narrow ? prod[k] * v % m : mulmod(prod[k], v, m);
+        }
+    for (Py_ssize_t k = 0; k < n; k++)
+        acc = addmod(acc, alternate && (k & 1) && prod[k] ? m - prod[k] : prod[k], m);
+    PyMem_Free(prod);
+    return PyLong_FromUnsignedLongLong(acc);
+}
+
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef native_methods[] = {
@@ -357,6 +426,8 @@ static PyMethodDef native_methods[] = {
     KERNEL(genfranel_table, "genfranel_table(p, m, r, length): sum_j binom(k,j)^r mod m."),
     KERNEL(triangle_weighted_sums,
            "triangle_weighted_sums(p, m): binom(2k,k) sum_{n=k}^{p-1} (2n+1) binom(n+k,2k) mod m."),
+    KERNEL(wdot, "wdot(m, alternate, *tables): sum_k (+-1)^k prod_j tables_j[k] mod m over lists "
+                 "of one length, the sign alternating when alternate is true."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,11 +1,12 @@
 """Pure-Python table kernels.
 
-Four kernels: ``precursive_table`` (any recurrence with polynomial
+Five kernels: ``precursive_table`` (any recurrence with polynomial
 coefficients, O(order * degree * length)), ``inverse_table``, the direct
-O(p^2) row sums of binomial powers ``genfranel_table`` and
-``triangle_weighted_sums``.  Each has a compiled twin in the C extension
+O(p^2) row sums of binomial powers ``genfranel_table``,
+``triangle_weighted_sums`` and the reduction ``wdot`` (a sum over k of
+products of table entries).  Each has a compiled twin in the C extension
 ``_native``; only the helpers ``factorial_tables`` and ``horner`` do not.
-The two must produce identical lists (the test suite compares them entry
+The two must produce identical results (the test suite compares them entry
 by entry, and both against exact arithmetic).  This backend is also the
 only one used when the modulus exceeds the compiled backend's 64-bit
 range, and it is the reference the compiled kernels are tested against.
@@ -148,3 +149,27 @@ def triangle_weighted_sums(p: int, m: int) -> list[int]:
                 b = b * ((n + 1 + k) % m) % m * inv[n + 1 - k] % m
         out[k] = acc % m * central[k] % m
     return out
+
+
+def wdot(m: int, alternate: bool, *tables: list[int]) -> int:
+    """sum_k (+-1)^k prod_j tables[j][k] mod m, k below the tables' one length.
+
+    The sign alternates from +1 at k = 0 when alternate is true; no tables
+    is the empty sum, 0.  Entries must be in [0, m).
+    """
+    if m < 1:
+        raise ValueError(f"wdot() needs m >= 1, got m={m}")
+    n = len(tables[0]) if tables else 0
+    for t in tables:
+        if len(t) != n:
+            raise ValueError(f"wdot() tables must have one length, got {n} and {len(t)}")
+        if t and (min(t) < 0 or max(t) >= m):
+            raise ValueError(f"wdot() entries must be in [0, m) for m={m}")
+    if not tables:
+        return 0
+    prods = tables[0]
+    for t in tables[1:]:
+        prods = [a * b % m for a, b in zip(prods, t)]
+    if alternate:
+        return (sum(prods[::2]) - sum(prods[1::2])) % m
+    return sum(prods) % m

@@ -246,13 +246,7 @@ class PrimeContext:
 
         def build():
             m = self.ring(e).modulus
-            fr = self.franel(e)
-            acc = 0
-            sign = 1
-            for k in range(self.p):
-                acc += sign * pow(k, r, m) * fr[k]
-                sign = -sign
-            return acc % m
+            return kernels.wdot(m, True, [pow(k, r, m) for k in range(self.p)], self.franel(e))
 
         return self._get(("moment", e, r), build)
 

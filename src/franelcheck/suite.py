@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import kernels
 from .mining import cornacchia_x2_3y2
 from .primes import is_prime
 from .report import CheckResult, Report
@@ -108,14 +109,9 @@ def _eval_T14(ctx: PrimeContext) -> list[Case]:
         if not _usable(r, ctx.p, "r"):
             continue
         sh = ctx.shift(e, r)
-        lhs = 0
-        rhs = 0
-        sign = 1
-        for k in range(ctx.p):
-            lhs += sign * sh[k] * fr[k]
-            rhs += ce[k] * (sh[k] * sh[k] % m)
-            sign = -sign
-        rows.append(({"r": str(r)}, e, lhs % m, rhs % m))
+        lhs = kernels.wdot(m, True, sh, fr)
+        rhs = kernels.wdot(m, False, ce, sh, sh)
+        rows.append(({"r": str(r)}, e, lhs, rhs))
     return rows
 
 
@@ -123,24 +119,16 @@ def _eval_T21(ctx: PrimeContext) -> list[Case]:
     e = 2
     m = ctx.ring(e).modulus
     ce = ctx.central(e)
+    xs = [(str(x), ctx.fpoly(e, x), ctx.powers(e, x)) for x in X_SAMPLES if _usable(x, ctx.p, "x")]
     rows: list[Case] = []
     for r in R_SAMPLES:
         if not _usable(r, ctx.p, "r"):
             continue
         sh = ctx.shift(e, r)
-        for x in X_SAMPLES:
-            if not _usable(x, ctx.p, "x"):
-                continue
-            fp = ctx.fpoly(e, x)
-            xp = ctx.powers(e, x)
-            lhs = 0
-            rhs = 0
-            sign = 1
-            for k in range(ctx.p):
-                lhs += sign * sh[k] * fp[k]
-                rhs += ce[k] * xp[k] % m * (sh[k] * sh[k] % m)
-                sign = -sign
-            rows.append(({"r": str(r), "x": str(x)}, e, lhs % m, rhs % m))
+        for x, fp, xp in xs:
+            lhs = kernels.wdot(m, True, sh, fp)
+            rhs = kernels.wdot(m, False, ce, xp, sh, sh)
+            rows.append(({"r": str(r), "x": x}, e, lhs, rhs))
     return rows
 
 
@@ -151,69 +139,44 @@ def _eval_C18(ctx: PrimeContext) -> list[Case]:
     fr = ctx.franel(e)
     w4 = ctx.powers(e, Fraction(-1, 4))  # (-4)^-k
     w16 = ctx.powers(e, Fraction(1, 16))
-    lhs = 0
-    rhs = 0
-    for k in range(ctx.p):
-        lhs += ce[k] * fr[k] % m * w4[k]
-        rhs += ce[k] * ce[k] % m * ce[k] % m * w16[k]
-    return [({}, e, lhs % m, rhs % m)]
+    return [({}, e, kernels.wdot(m, False, ce, fr, w4), kernels.wdot(m, False, ce, ce, ce, w16))]
 
 
+# The inverse tables hold 0 at k = 0, so here and below a sum over k >= 1
+# with a factor 1/k runs over the whole table.
 def _eval_C19(ctx: PrimeContext) -> list[Case]:
     e = 2
-    m = ctx.ring(e).modulus
-    fr = ctx.franel(e)
-    inv = ctx.inv(e)
-    lhs = 0
-    sign = -1
-    for k in range(1, ctx.p):
-        lhs += sign * fr[k] * inv[k]
-        sign = -sign
-    return [({}, e, lhs % m, 0)]
+    lhs = kernels.wdot(ctx.ring(e).modulus, True, ctx.franel(e), ctx.inv(e))
+    return [({}, e, lhs, 0)]
 
 
 def _eval_C110(ctx: PrimeContext) -> list[Case]:
     e = 1
-    m = ctx.p
-    fr = ctx.franel(e)
     inv = ctx.inv(e)
-    lhs = 0
-    sign = -1
-    for k in range(1, ctx.p):
-        lhs += sign * fr[k] * (inv[k] * inv[k] % m)
-        sign = -sign
-    return [({}, e, lhs % m, 0)]
+    return [({}, e, kernels.wdot(ctx.p, True, ctx.franel(e), inv, inv), 0)]
 
 
 def _eval_C111(ctx: PrimeContext) -> list[Case]:
     e = 2
     m = ctx.ring(e).modulus
-    fr = ctx.franel(e)
-    inv = ctx.inv(e)
-    lhs = 0
-    sign = -1
-    for k in range(1, ctx.p):
-        lhs += sign * fr[k - 1] * inv[k]
-        sign = -sign
+    # sum over k = 1..p-1 of (-1)^k f(k-1)/k, indexed from j = k-1
+    lhs = -kernels.wdot(m, True, ctx.franel(e)[:-1], ctx.inv(e)[1:]) % m
     q = ctx.q2(e)
     rhs = (3 * q + 3 * ctx.p * q * q) % m
-    return [({}, e, lhs % m, rhs)]
+    return [({}, e, lhs, rhs)]
 
 
 def _eval_C112(ctx: PrimeContext) -> list[Case]:
     rows: list[Case] = []
     m = ctx.p
-    inv = ctx.inv(1)
+    inv = ctx.inv(1)[1:]
     for r in range(1, 7):
         if ctx.p <= max(r, 3):
             log.info("skipping r=%d at p=%d: needs p > max(r, 3)", r, ctx.p)
             continue
-        gf = ctx.genfranel(1, r)
-        lhs = 0
-        for k in range(1, ctx.p):
-            sign = -1 if (k * r) % 2 else 1
-            lhs += sign * gf[k] * pow(inv[k], r - 1, m)
-        rows.append(({"r": r}, 1, lhs % m, 0))
+        # sum over k = 1..p-1 of (-1)^(kr) fr(r,k)/k^(r-1), indexed from j = k-1
+        lhs = kernels.wdot(m, r % 2 == 1, ctx.genfranel(1, r)[1:], *[inv] * (r - 1))
+        rows.append(({"r": r}, 1, -lhs % m if r % 2 else lhs, 0))
     return rows
 
 
@@ -239,14 +202,9 @@ def _eval_C26(ctx: PrimeContext) -> list[Case]:
     for x in X_SAMPLES:
         if not _usable(x, ctx.p, "x"):
             continue
-        fp = ctx.fpoly(e, x)
-        xp = ctx.powers(e, x)
-        lhs = 0
-        rhs = 0
-        for k in range(ctx.p):
-            lhs += ce[k] * fp[k] % m * w4[k]
-            rhs += ce[k] * ce[k] % m * ce[k] % m * w16[k] % m * xp[k]
-        rows.append(({"x": str(x)}, e, lhs % m, rhs % m))
+        lhs = kernels.wdot(m, False, ce, ctx.fpoly(e, x), w4)
+        rhs = kernels.wdot(m, False, ce, ce, ce, w16, ctx.powers(e, x))
+        rows.append(({"x": str(x)}, e, lhs, rhs))
     return rows
 
 
@@ -255,22 +213,15 @@ def _eval_C27(ctx: PrimeContext) -> list[Case]:
     p = ctx.p
     m = ctx.ring(e).modulus
     inv = ctx.inv(e)
+    half = (p + 1) // 2
+    upper = inv[half:]
     rows: list[Case] = []
     for x in X_SAMPLES:
         if not _usable(x, ctx.p, "x"):
             continue
-        fp = ctx.fpoly(e, x)
-        xp = ctx.powers(e, x)
-        lhs = 0
-        sign = -1
-        for l in range(1, p):
-            lhs += sign * fp[l] * inv[l]
-            sign = -sign
-        rhs = 0
-        for k in range((p + 1) // 2, p):
-            rhs += xp[k] * (inv[k] * inv[k] % m)
-        rhs = p * (rhs % m) % m
-        rows.append(({"x": str(x)}, e, lhs % m, rhs))
+        lhs = kernels.wdot(m, True, ctx.fpoly(e, x), inv)
+        rhs = p * kernels.wdot(m, False, ctx.powers(e, x)[half:], upper, upper) % m
+        rows.append(({"x": str(x)}, e, lhs, rhs))
     return rows
 
 
@@ -365,37 +316,22 @@ def _eval_JV(ctx: PrimeContext) -> list[Case]:
 def _eval_R1a(ctx: PrimeContext) -> list[Case]:
     e = 2
     m = ctx.ring(e).modulus
-    wc = ctx.weighted_cubes(e, Fraction(-8))
-    lhs = 0
-    sign = 1
-    for n in range(ctx.p):
-        lhs += sign * wc[n]
-        sign = -sign
-    return [({}, e, lhs % m, ctx.jacobi3 % m)]
+    lhs = kernels.wdot(m, True, ctx.weighted_cubes(e, Fraction(-8)))
+    return [({}, e, lhs, ctx.jacobi3 % m)]
 
 
 def _eval_R1b(ctx: PrimeContext) -> list[Case]:
     e = 2
     m = ctx.ring(e).modulus
-    fr = ctx.franel(e)
-    w8 = ctx.powers(e, Fraction(1, 8))
-    lhs = 0
-    for k in range(ctx.p):
-        lhs += fr[k] * w8[k]
-    return [({}, e, lhs % m, ctx.jacobi3 % m)]
+    lhs = kernels.wdot(m, False, ctx.franel(e), ctx.powers(e, Fraction(1, 8)))
+    return [({}, e, lhs, ctx.jacobi3 % m)]
 
 
 def _eval_R1c(ctx: PrimeContext) -> list[Case]:
     e = 1
     p = ctx.p
-    fr = ctx.franel(e)
-    w8 = ctx.powers(e, Fraction(1, 8))
-    inv = ctx.inv(e)
-    lhs = 0
-    for k in range(1, p):
-        lhs += fr[k] * w8[k] % p * inv[k]
-    rhs = 3 * ctx.q2(e) % p
-    return [({}, e, lhs % p, rhs)]
+    lhs = kernels.wdot(p, False, ctx.franel(e), ctx.powers(e, Fraction(1, 8)), ctx.inv(e))
+    return [({}, e, lhs, 3 * ctx.q2(e) % p)]
 
 
 def _eval_S11conj(ctx: PrimeContext) -> list[Case]:
@@ -403,11 +339,7 @@ def _eval_S11conj(ctx: PrimeContext) -> list[Case]:
     p = ctx.p
     m = ctx.ring(e).modulus
     ce = ctx.central(e)
-    w16 = ctx.powers(e, Fraction(1, 16))
-    lhs = 0
-    for k in range(p):
-        lhs += ce[k] * ce[k] % m * ce[k] % m * w16[k]
-    lhs %= m
+    lhs = kernels.wdot(m, False, ce, ce, ce, ctx.powers(e, Fraction(1, 16)))
     rep = cornacchia_x2_3y2(p)
     if rep is not None:
         rhs = (4 * rep.x * rep.x - 2 * p) % m
@@ -532,12 +464,12 @@ def run_suite(
 ) -> Report:
     """Evaluate the selected checks at every admissible prime.
 
-    The report is ordered by check id, then prime, then parameter case;
-    the ordering (and hence any serialization) does not depend on the
-    worker count.  The pool has at most one process per prime, and the
+    A check id given more than once is run once.  The report is ordered
+    by check id, then prime, then parameter case; the ordering (and hence
+    any serialization) does not depend on the worker count.  The pool has at most one process per prime, and the
     largest primes, which cost the most, are submitted first.
     """
-    selected = list(ids) if ids is not None else check_ids()
+    selected = list(dict.fromkeys(ids)) if ids is not None else check_ids()
     for cid in selected:
         if cid not in REGISTRY:
             raise ValueError(f"unknown check id {cid!r}")

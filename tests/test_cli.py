@@ -65,6 +65,15 @@ def test_verify_text_and_exit_code(capsys):
     assert "C15" in out and "0 fail" in out
 
 
+def test_verify_repeated_id_runs_once(capsys):
+    for workers in ("1", "2"):
+        for fmt in ("json", "text"):
+            argv = ["verify", "--primes", "5..13", "--format", fmt, "--workers", workers]
+            once = run_cli(capsys, *argv, "--id", "C15")
+            assert run_cli(capsys, *argv, "--id", "C15,C15") == once
+        assert "4/4 pass" in once[1]
+
+
 def test_verify_check_error_is_one_row(capsys, monkeypatch):
     spec = suite.REGISTRY["C15"]
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 import time
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from franelcheck import expr, kernels
 from franelcheck.expr import (
     EXACT_INDEX_CAP,
     SUM_LENGTH_CAP,
@@ -26,7 +28,7 @@ from franelcheck.expr import (
 )
 from franelcheck.modring import NonInvertibleError, ring_new
 from franelcheck.primes import primes_in_range
-from franelcheck.sequences import binom_exact, franel_exact
+from franelcheck.sequences import binom_exact, franel_exact, generalized_franel
 from franelcheck.suite import run_suite
 
 
@@ -445,7 +447,18 @@ def _exact(node, p, env):
         args = [_exact_int(arg, p, env) for arg in node.args]
         if min(args[-1:]) < 0:
             raise _Undefined("negative argument")
-        return Fraction(binom_exact(*args) if node.name == "binom" else franel_exact(*args))
+        if node.name == "binom":
+            return Fraction(binom_exact(*args))
+        if node.name == "f":
+            return Fraction(franel_exact(*args))
+        if node.name == "fr":
+            if args[0] < 1:
+                raise _Undefined("power below 1")
+            return Fraction(generalized_franel(args[1], args[0]))
+        if args[0] >= p:  # H, H2: the language gives them no value past p - 1
+            raise _Undefined("harmonic index past p - 1")
+        order = 1 if node.name == "H" else 2
+        return sum((Fraction(1, j**order) for j in range(1, args[0] + 1)), Fraction(0))
     a = _exact(node.left, p, env)
     if node.op == "^":
         x = _exact_int(node.right, p, env)
@@ -484,3 +497,125 @@ def test_compiled_evaluator_matches_exact_arithmetic(ast, p, e):
             eval_expr(ast, ring_new(p, e))
         return
     assert eval_expr(ast, ring_new(p, e)).value == want.numerator * pow(want.denominator, -1, m) % m
+
+
+# --- sums lowered to one kernels.wdot call --------------------------------------
+
+_K = Var("k")
+_SIGN = BinOp("^", Neg(Num(1)), _K)
+_CONSTANTS = st.one_of(
+    st.builds(Num, st.integers(0, 6)),
+    st.sampled_from([Var("p"), Neg(Num(2)), BinOp("/", Num(1), Var("p")), BinOp("+", Var("p"), Num(1))]),
+)
+_TABLES = st.one_of(
+    st.sampled_from([Call("f", (_K,)), Call("binom", (BinOp("*", Num(2), _K), _K)), Call("H", (_K,)),
+                     Call("H2", (_K,))]),
+    st.builds(lambda r: Call("fr", (Num(r), _K)), st.integers(0, 6)),
+)
+_POWERS = st.builds(BinOp, st.just("^"), _CONSTANTS, st.just(_K))
+_DIVISORS = st.one_of(_CONSTANTS, _POWERS, st.sampled_from([_K, BinOp("^", _K, Num(2)), _SIGN]))
+_BOUNDS = st.one_of(
+    st.builds(Num, st.integers(0, 3)),
+    st.just(Neg(Num(1))),
+    st.builds(lambda op, d: BinOp(op, Var("p"), Num(d)), st.sampled_from("+-"), st.integers(0, 3)),
+)
+
+
+@st.composite
+def _product_sums(draw):
+    """sum(k=lo..hi, body), body a product or quotient of the factors the
+    compiler lowers, over ranges inside and outside 0..p-1."""
+    body = draw(st.one_of(_TABLES, _CONSTANTS, _POWERS, st.just(_SIGN)))
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            body = BinOp("/", body, draw(_DIVISORS))
+        else:
+            factor = draw(st.one_of(_TABLES, _TABLES, _CONSTANTS, _POWERS, st.just(_SIGN)))
+            body = BinOp("*", *((body, factor) if draw(st.booleans()) else (factor, body)))
+    return Sum("k", draw(_BOUNDS), draw(_BOUNDS), body)
+
+
+@contextlib.contextmanager
+def _closure_loops_only():
+    """Compile every sum as the closure loop, as if no body lowered."""
+    saved = expr._product_factors
+    expr._product_factors = lambda *args: False
+    expr.compile_expr.cache_clear()
+    try:
+        yield
+    finally:
+        expr._product_factors = saved
+        expr.compile_expr.cache_clear()
+
+
+def _outcome(ast, ring):
+    try:
+        return eval_expr(ast, ring).value
+    except (EvalError, NonInvertibleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ast=_product_sums(), p=st.sampled_from([3, 5, 7, 11]), e=st.integers(1, 4))
+def test_lowered_sums_match_the_closure_loop_and_exact_arithmetic(ast, p, e):
+    ring = ring_new(p, e)
+    got = _outcome(ast, ring)
+    with _closure_loops_only():
+        assert _outcome(ast, ring) == got  # the same value, or the same error
+    try:
+        want = _exact(ast, p, {})
+    except _Undefined:
+        assert type(got) is tuple
+        return
+    m = p**e
+    assert got == want.numerator * pow(want.denominator, -1, m) % m
+
+
+def test_product_sums_inside_the_tables_run_as_one_wdot_call(monkeypatch):
+    calls = []
+    wdot = kernels.wdot
+    monkeypatch.setattr(kernels, "wdot", lambda *args: calls.append(args) or wdot(*args))
+    ring = ring_new(11, 2)
+    lowered = [
+        "sum(k=0..p-1, (-1)^k * f(k))",
+        "sum(k=0..p-1, f(k) / 8^k)",
+        "sum(k=1..p-1, (-1)^k * f(k) / k)",
+        "sum(k=0..p-1, binom(2*k,k))",
+        "sum(k=3..p-2, 3 * fr(5,k) * H(k) / k^2 / 7^k * (-1)^k * q2())",
+        "sum(k=1..1, H2(k) / (p+2) * (1/3) * (-2)^k)",
+    ]
+    not_lowered = [
+        "sum(k=0..p-1, f(k) * k)",  # k is not a table
+        "sum(k=1..p-1, f(k) / (k*k))",  # a divisor that is a product
+        "sum(k=0..p, f(k))",  # past the tables
+        "sum(k=0..p-1, f(k) / k)",  # 1/0
+        "sum(k=1..p-1, 1/p^k)",  # p is no unit
+        "sum(k=0..p-1, (1/p) * f(k))",  # a constant that raises
+        "sum(k=0..p-1, fr(0, k))",  # a table that raises
+        "sum(k=3..2, f(k))",  # empty
+    ]
+    for text in lowered + not_lowered:
+        calls.clear()
+        with contextlib.suppress(EvalError, NonInvertibleError):
+            eval_expr(parse(text), ring)
+        assert len(calls) == (text in lowered), text
+
+
+@pytest.mark.parametrize(
+    "text,errors",
+    [
+        ("sum(k=0..p-1, f(k)/k)", ["0 is divisible by p=5 in PrimePowerRing(5, 2)",
+                                   "0 is divisible by p=7 in PrimePowerRing(7, 2)"]),
+        ("sum(k=1..p-1, 1/p^k)", ["5 is divisible by p=5 in PrimePowerRing(5, 2)",
+                                  "7 is divisible by p=7 in PrimePowerRing(7, 2)"]),
+        ("sum(k=0..p, f(k))", [None, None]),
+        ("sum(k=0..p-1, (1/p)*f(k))", ["5 is divisible by p=5 in PrimePowerRing(5, 2)",
+                                       "7 is divisible by p=7 in PrimePowerRing(7, 2)"]),
+    ],
+)
+def test_sums_that_do_not_lower_keep_their_rows(text, errors):
+    rep = eval_congruence(parse(f"{text} ≡ 0 (mod p^2)"), [5, 7])
+    assert [row.error for row in rep.rows] == errors
+    for row in rep.rows:
+        if row.error is None:  # f(p) comes from exact summation
+            assert row.lhs == sum(franel_exact(k) for k in range(row.prime + 1)) % row.prime**2

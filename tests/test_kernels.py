@@ -197,6 +197,8 @@ def test_dispatch_large_modulus_falls_back(monkeypatch):
     assert kernels.weighted_cube_table(p, m, 2, 4) == [
         sum(math.comb(n, k) ** 3 * 2**k for k in range(n + 1)) % m for n in range(4)
     ]
+    # so does a reduction; with every product past 2**63, the modulus
+    assert kernels.wdot(m, True, [m - 1, 2, m - 1], [m - 1, 1, m - 1]) == (1 - 2 + 1) % m
     # an exponent past 64 bits goes to pure even for a small modulus
     p, m, r = 7, 343, 2**64 + 1
     want = [sum(pow(math.comb(k, j), r, m) for j in range(k + 1)) % m for k in range(p)]
@@ -273,6 +275,9 @@ def test_native_refuses_arguments_outside_its_range():
         _native.triangle_weighted_sums(2**62, 25)
     with pytest.raises(TypeError):
         _native.precursive_table(5, 25)
+    for args in ((25,), (25, True, (1, 2)), (25, True, [1.0])):  # wdot reads lists of ints
+        with pytest.raises(TypeError):
+            _native.wdot(*args)
 
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
@@ -339,3 +344,48 @@ def test_backends_agree_with_exact_arithmetic(ring, param, r):
         for k in range(p - 1)
     ]
     agree(lambda: kernels.triangle_weighted_sums(p, m), want, "triangle")
+
+
+#: moduli of every width wdot handles: products that fit in 64 bits, those
+#: that need 128, the largest native modulus, and moduli only pure accepts
+WDOT_MODULI = st.sampled_from(
+    [1, 2, 25, 43**4, 2**32 - 5, 2**32, 2**32 + 15, 499**7, 2**63 - 25, 2**63, 2**64 + 13]
+) | st.integers(1, 2**70)
+
+
+@st.composite
+def wdot_inputs(draw):
+    """(m, 0 to 5 tables of one length, entries in [0, m) with 0 and m - 1 favoured)."""
+    m = draw(WDOT_MODULI)
+    length = draw(st.integers(0, 12))
+    entry = st.integers(0, m - 1) | st.sampled_from([0, m - 1])
+    return m, [draw(st.lists(entry, min_size=length, max_size=length)) for _ in range(draw(st.integers(0, 5)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs=wdot_inputs(), alternate=st.booleans())
+@example(inputs=(2**63 - 25, [[2**63 - 26] * 3] * 5), alternate=True)
+@example(inputs=(7, []), alternate=True)
+def test_wdot_backends_agree_with_plain_ints(inputs, alternate):
+    """Both backends, directly and through the boundary, against plain ints."""
+    m, tables = inputs
+    length = len(tables[0]) if tables else 0
+    want = sum(
+        (-1 if alternate and k % 2 else 1) * math.prod(t[k] for t in tables) for k in range(length)
+    ) % m
+    impls = [pure] + ([_native] if _native is not None and m < kernels.NATIVE_MODULUS_LIMIT else [])
+    for impl in impls:
+        assert impl.wdot(m, alternate, *tables) == want, impl.__name__
+    for force_pure in [True] + ([False] if _native is not None else []):
+        with backend(force_pure):
+            assert kernels.wdot(m, alternate, *tables) == want
+
+
+@pytest.mark.parametrize("impl", [pure, pytest.param(_native, marks=needs_native)], ids=["pure", "native"])
+def test_wdot_refuses_unequal_lengths_and_entries_outside_the_ring(impl):
+    assert impl.wdot(25, True, [1, 24], [3, 4]) == (3 - 96) % 25
+    for tables in ([[1, 2], [3]], [[1], [1, 2]], [[25]], [[0, 1], [2, 26]], [[-1]], [[1], [2**64]]):
+        with pytest.raises(ValueError):
+            impl.wdot(25, True, *tables)
+    with pytest.raises(ValueError):
+        impl.wdot(0, False, [0])

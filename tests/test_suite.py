@@ -214,6 +214,7 @@ def test_suite_row_ordering_and_filters():
     assert [(r.check_id, r.prime) for r in rep.rows] == [
         ("C15", 5), ("C15", 7), ("C16", 5), ("C16", 7),
     ]
+    assert run_suite(ids=["C15", "C16", "C15"], primes=[7, 5]).rows == rep.rows
 
 
 def test_suite_errors():
