@@ -784,8 +784,11 @@ def _lower_factor(node: Ast, inverted: bool, k: str, scope: dict[str, int], slot
     """(kind, maker) of one factor of a product body.
 
     The maker gives, for a runtime, the factor's value for the closure loop
-    and a thunk for the wdot call: the scalar, a list of tables at
-    k = 0..p-1, or None where the factor could raise.  kind is "scalar" (no
+    and a function (lo, hi) -> what the wdot call takes of it: the scalar,
+    a list of tables at k = lo..hi, or None where the factor could raise.
+    c^k builds its slice for each call and caches nothing, so a base that
+    changes from one sum to the next costs what the loop's pow calls did.
+    kind is "scalar" (no
     k in it), "sign" ((-1)^k), "table", "inverse" (1/k or 1/k^2, which need
     k >= 1) or None (the factor does not lower).
     """
@@ -794,11 +797,13 @@ def _lower_factor(node: Ast, inverted: bool, k: str, scope: dict[str, int], slot
         base, power = _ring(node.left, scope, slots), _ring_power(node, scope)
 
         def powers(rt):
-            b = base(rt)
+            b, m = base(rt), rt.m
 
-            def fetch():
+            def fetch(lo, hi):
                 c = _force(b)
-                return [rt.table("powers", rt.inv(c) if inverted else c)]
+                c = rt.inv(c) if inverted else c
+                steps = itertools.repeat(c, hi - lo)
+                return [list(itertools.accumulate(steps, lambda a, x: a * x % m, initial=pow(c, lo, m)))]
 
             return power(rt, b), fetch
 
@@ -808,7 +813,7 @@ def _lower_factor(node: Ast, inverted: bool, k: str, scope: dict[str, int], slot
 
         def scalar(rt):
             v = value(rt)
-            return v, (lambda: rt.inv(_force(v))) if inverted else (lambda: _force(v))
+            return v, (lambda lo, hi: rt.inv(_force(v))) if inverted else (lambda lo, hi: _force(v))
 
         return "scalar", scalar
     kind, tables = None, None
@@ -835,7 +840,17 @@ def _lower_factor(node: Ast, inverted: bool, k: str, scope: dict[str, int], slot
             return fetch
 
         kind = "table"
-    return kind, lambda rt: (value(rt), tables(rt) if kind else None)
+    return kind, lambda rt: (value(rt), _sliced(tables(rt)) if kind else None)
+
+
+def _sliced(fetch):
+    """A thunk of tables at k = 0..p-1 -> (lo, hi) -> their slices at lo..hi."""
+
+    def sliced(lo, hi):
+        got = fetch()
+        return None if got is None else [table[lo : hi + 1] for table in got]
+
+    return sliced
 
 
 def _sum_body(node: Sum, scope: dict[str, int], slots):
@@ -865,13 +880,13 @@ def _sum_body(node: Sum, scope: dict[str, int], slots):
             scalar, tables = 1, []
             try:
                 for is_scalar, fetch in parts:
-                    got = fetch()
+                    got = fetch(lo, hi)
                     if got is None:
                         return None
                     if is_scalar:
                         scalar = scalar * got % m
                     else:
-                        tables += [table[lo : hi + 1] for table in got]
+                        tables += got
             except _DSL_ERRORS:
                 return None
             total = kernels.wdot(m, alternate, *tables)

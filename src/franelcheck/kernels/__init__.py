@@ -63,6 +63,7 @@ def _check_length(p: int, length: int) -> None:
 
 
 def inverse_table(p: int, m: int, n: int) -> list[int]:
+    """[0] + the inverses of 1..n mod m; slot 0 is 0 on both backends."""
     if not 0 <= n < p:
         raise ValueError(f"inverse table needs 0 <= n < p, got n={n}, p={p}")
     return _impl(m).inverse_table(p, m, n)

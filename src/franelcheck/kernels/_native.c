@@ -399,8 +399,7 @@ static PyObject *wdot(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     u64 *prod = alloc_tables(1, (u64)n), acc = 0;
     if (prod == NULL)
         return NULL;
-    /* one pass per table reads each list in order; below 2**32 products fit in 64 bits */
-    int narrow = m >> 32 == 0;
+    /* one pass per table reads each list in order */
     for (Py_ssize_t j = 0; j < count; j++)
         for (Py_ssize_t k = 0; k < n; k++) {
             u64 v;
@@ -408,7 +407,7 @@ static PyObject *wdot(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 PyMem_Free(prod);
                 return NULL;
             }
-            prod[k] = j == 0 ? v : narrow ? prod[k] * v % m : mulmod(prod[k], v, m);
+            prod[k] = j == 0 ? v : mulmod(prod[k], v, m);
         }
     for (Py_ssize_t k = 0; k < n; k++)
         acc = addmod(acc, alternate && (k & 1) && prod[k] ? m - prod[k] : prod[k], m);
@@ -419,7 +418,7 @@ static PyObject *wdot(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef native_methods[] = {
-    KERNEL(inverse_table, "inverse_table(p, m, n): inverses of 1..n mod m (slot 0 unused), n < p."),
+    KERNEL(inverse_table, "inverse_table(p, m, n): [0] + inverses of 1..n mod m, n < p."),
     KERNEL(precursive_table,
            "precursive_table(p, m, coeffs, init, length): u(0..length-1) mod m of "
            "sum_i a_i(n) u(n+i) = 0, a_i given by coefficients mod m, lowest power first."),

@@ -22,7 +22,11 @@ from __future__ import annotations
 
 
 def inverse_table(p: int, m: int, n: int) -> list[int]:
-    """Inverses of 1..n modulo m (slot 0 unused), n <= p-1.
+    """[0] + the inverses of 1..n modulo m, n <= p-1.
+
+    Slot 0 holds 0, and callers rely on it: a sum over k of products with
+    an inverse table drops its k = 0 term without a slice.  Both backends
+    keep it so.
 
     Batch inversion: one extended Euclid for the product, then the
     individual inverses fall out of the prefix products.

@@ -63,7 +63,11 @@ class PrimePowerRing:
 
     @property
     def inv_table(self) -> list[int]:
-        """Inverses of 1..p-1 mod p^e (slot 0 unused); built once per ring."""
+        """[0] + the inverses of 1..p-1 mod p^e; built once per ring.
+
+        Slot 0 is 0, which the registry's sums with a 1/k factor rely on to
+        drop their k = 0 term.
+        """
         if self._inv_table is None:
             self._inv_table = kernels.inverse_table(self.p, self.modulus, self.p - 1)
         return self._inv_table

@@ -28,7 +28,7 @@ from franelcheck.expr import (
 )
 from franelcheck.modring import NonInvertibleError, ring_new
 from franelcheck.primes import primes_in_range
-from franelcheck.sequences import binom_exact, franel_exact, generalized_franel
+from franelcheck.sequences import binom_exact, franel_exact, generalized_franel, get_context
 from franelcheck.suite import run_suite
 
 
@@ -599,6 +599,29 @@ def test_product_sums_inside_the_tables_run_as_one_wdot_call(monkeypatch):
         with contextlib.suppress(EvalError, NonInvertibleError):
             eval_expr(parse(text), ring)
         assert len(calls) == (text in lowered), text
+
+
+def test_powers_of_a_varying_base_are_built_per_sum_and_not_kept():
+    # the base of c^k is the outer index: each inner sum builds its own slice
+    # and no table per base stays in the prime's context
+    p = 31
+    ring = ring_new(p, 2)
+    m = ring.modulus
+    ctx = get_context(p)
+    eval_expr(parse("sum(k=0..p-1, f(k))"), ring)  # the franel table itself
+    before = len(ctx._cache)
+    fr = [franel_exact(k) % m for k in range(p)]
+    cases = {
+        "sum(x=1..p-1, sum(k=0..p-1, f(k) * x^k))": sum(
+            fr[k] * pow(x, k, m) for x in range(1, p) for k in range(p)
+        ),
+        "sum(x=1..p-1, sum(k=2..4, f(k) / x^k))": sum(
+            fr[k] * pow(x, -k, m) for x in range(1, p) for k in range(2, 5)
+        ),
+    }
+    for text, expected in cases.items():
+        assert eval_expr(parse(text), ring).value == expected % m, text
+    assert len(ctx._cache) == before
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,17 @@ def test_inverse_table_small():
         assert inv[i] * i % 49 == 1
 
 
+@pytest.mark.parametrize("native", [False, True])
+def test_inverse_table_slot_zero_is_zero(native):
+    # sums with a 1/k factor run over the whole table and rely on this
+    if native and _native is None:
+        pytest.skip("compiled kernels not built")
+    impl = _native if native else pure
+    for p, e in RINGS:
+        assert impl.inverse_table(p, p**e, p - 1)[0] == 0
+    assert impl.inverse_table(7, 49, 0) == [0]
+
+
 def test_inverse_table_bound():
     with pytest.raises(ValueError):
         pure.inverse_table(7, 49, 7)
