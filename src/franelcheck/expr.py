@@ -36,7 +36,7 @@ A sum(k=lo..hi, body) whose body is a product or quotient of the factors
     f(k), binom(2*k,k), H(k), H2(k), fr(r,k) (r constant), 1/k and 1/k^2
 
 is lowered at compile time to one kernels.wdot call over slices of their
-tables.  That call runs only when no factor can raise on the range:
+tables; c^k and /c^k build just the slice c^lo..c^hi for each sum.  That call runs only when no factor can raise on the range:
 0 <= lo, hi <= p-1, lo >= 1 with a 1/k factor, c a unit with a /c^k
 factor, r >= 1, and every constant (evaluated once, only for a nonempty
 range; divisors inverted through the ring) defined.  Every other sum, and
