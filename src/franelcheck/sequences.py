@@ -112,6 +112,14 @@ def _as_residue_value(ring: PrimePowerRing, x: int | Fraction | Residue) -> int:
     return x % ring.modulus
 
 
+def _param_key(ring: PrimePowerRing, x: int | Fraction | Residue):
+    """x as a table's cache key, so that a hit converts nothing: a Residue by
+    its value, a Fraction by (numerator, denominator), which hashes faster."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return _as_residue_value(ring, x) if isinstance(x, Residue) else x
+
+
 @lru_cache(maxsize=4096)
 def _apery_cached(n: int) -> int:
     return apery_exact(n)
@@ -168,20 +176,20 @@ class PrimeContext:
     def fpoly(self, e: int, x: int | Fraction) -> list[int]:
         """The cubed-row polynomials f_l(x) = sum_k binom(l,k)^2 binom(2k,l) x^k."""
         ring = self.ring(e)
-        xv = _as_residue_value(ring, x)
         return self._get(
-            ("fpoly", e, xv), lambda: kernels.fpoly_table(self.p, ring.modulus, xv, self.p)
+            ("fpoly", e, _param_key(ring, x)),
+            lambda: kernels.fpoly_table(self.p, ring.modulus, _as_residue_value(ring, x), self.p),
         )
 
     def shift(self, e: int, r: Fraction) -> list[int]:
         """binom(k+r,k) mod p^e for a rational r with p-coprime denominator."""
+        ring = self.ring(e)
 
         def build():
-            ring = self.ring(e)
             rbar = ring.from_rational(r).value
             return kernels.binom_shift_table(self.p, ring.modulus, rbar, self.p)
 
-        return self._get(("shift", e, r), build)
+        return self._get(("shift", e, _param_key(ring, r)), build)
 
     def genfranel(self, e: int, r: int) -> list[int]:
         """Row sums of r-th binomial powers mod p^e.
@@ -203,10 +211,9 @@ class PrimeContext:
 
     def weighted_cubes(self, e: int, w: int | Fraction) -> list[int]:
         ring = self.ring(e)
-        wv = _as_residue_value(ring, w)
         return self._get(
-            ("wcube", e, wv),
-            lambda: kernels.weighted_cube_table(self.p, ring.modulus, wv, self.p),
+            ("wcube", e, _param_key(ring, w)),
+            lambda: kernels.weighted_cube_table(self.p, ring.modulus, _as_residue_value(ring, w), self.p),
         )
 
     def harmonic(self, e: int, order: int) -> list[int]:
@@ -230,16 +237,16 @@ class PrimeContext:
 
     def powers(self, e: int, base: int | Fraction) -> list[int]:
         ring = self.ring(e)
-        b = _as_residue_value(ring, base)
 
         def build():
             m = ring.modulus
+            b = _as_residue_value(ring, base)
             out = [1 % m] * self.p
             for k in range(1, self.p):
                 out[k] = out[k - 1] * b % m
             return out
 
-        return self._get(("pow", e, b), build)
+        return self._get(("pow", e, _param_key(ring, base)), build)
 
     def alternating_moment(self, e: int, r: int) -> int:
         """sum_k (-1)^k k^r f_k over k = 0..p-1, mod p^e (0^0 = 1)."""

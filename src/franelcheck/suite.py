@@ -5,6 +5,11 @@ residue pairs in the same ring; both sides are computed by independent
 routes (sequence tables on the left, closed forms or separately-built
 tables on the right), so equality of canonical residues is the verdict.
 
+Most checks with one row and no parameters are statements in the
+expression language of expr.py, compiled on their first evaluation by the
+compiler that `franelcheck eval` runs.  The rest are hand-written, each
+with the reason it is not a statement.
+
 Check classes:
   theorem     proven statements about the cubed-row sums and their moments
   lemma       supporting statements (also proven)
@@ -21,9 +26,10 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
-from . import kernels
+from . import expr, kernels
 from .mining import cornacchia_x2_3y2
 from .primes import is_prime
 from .report import CheckResult, Report
@@ -71,13 +77,34 @@ class CheckSpec:
     min_prime: int
     evaluate: Callable[[PrimeContext], list[Case]]
     description: str = ""
+    statement: str = ""  # the check in the expression language, if it is one
 
 
 REGISTRY: dict[str, CheckSpec] = {}
 
 
 def _register(check_id, check_class, e, evaluate, min_prime=5, description=""):
-    REGISTRY[check_id] = CheckSpec(check_id, check_class, e, min_prime, evaluate, description)
+    """Register a check; evaluate is a function or the source of a statement."""
+    statement = evaluate if isinstance(evaluate, str) else ""
+    evaluate = _statement(statement) if statement else evaluate
+    REGISTRY[check_id] = CheckSpec(check_id, check_class, e, min_prime, evaluate, description, statement)
+
+
+def _statement(text: str) -> Callable[[PrimeContext], list[Case]]:
+    """evaluate of a check stated as text: one row, both sides compiled by
+    expr.compile_expr on the first call (never at import)."""
+
+    @cache
+    def compiled():
+        stmt = expr.parse(text)
+        return stmt.modulus_exponent, expr.compile_expr(stmt.lhs), expr.compile_expr(stmt.rhs)
+
+    def evaluate(ctx: PrimeContext) -> list[Case]:
+        e, lhs, rhs = compiled()
+        ring = ctx.ring(e)
+        return [({}, e, lhs(ring), rhs(ring))]
+
+    return evaluate
 
 
 def _usable(r: Fraction, p: int, what: str) -> bool:
@@ -87,7 +114,12 @@ def _usable(r: Fraction, p: int, what: str) -> bool:
     return True
 
 
-# --- alternating moments of the cubed-row sums ------------------------------
+# --- hand-written checks ------------------------------------------------------
+#
+# The moment checks C16, C17, K3, K4 and C25.  As statements each took
+# 50-85 us per evaluation against 6-15 us here (the compiler's work per
+# evaluation, not the sum), and `verify` on 5..199 with them as statements
+# took 6-11% more CPU time.
 
 def _moment_check(rpow: int, coef: Fraction):
     def evaluate(ctx: PrimeContext) -> list[Case]:
@@ -98,6 +130,15 @@ def _moment_check(rpow: int, coef: Fraction):
 
     return evaluate
 
+
+def _eval_C25(ctx: PrimeContext) -> list[Case]:
+    e = 2
+    lhs = 3 * ctx.alternating_moment(e, 1) + 2 * ctx.alternating_moment(e, 0)
+    return [({}, e, lhs % ctx.ring(e).modulus, 0)]
+
+
+# Parameterised families, one row per parameter case: T14_r, T21_rx, C26_x,
+# C27_x and C112_r.
 
 def _eval_T14(ctx: PrimeContext) -> list[Case]:
     e = 2
@@ -132,40 +173,6 @@ def _eval_T21(ctx: PrimeContext) -> list[Case]:
     return rows
 
 
-def _eval_C18(ctx: PrimeContext) -> list[Case]:
-    e = 2
-    m = ctx.ring(e).modulus
-    ce = ctx.central(e)
-    fr = ctx.franel(e)
-    w4 = ctx.powers(e, Fraction(-1, 4))  # (-4)^-k
-    w16 = ctx.powers(e, Fraction(1, 16))
-    return [({}, e, kernels.wdot(m, False, ce, fr, w4), kernels.wdot(m, False, ce, ce, ce, w16))]
-
-
-# The inverse tables hold 0 at k = 0, so here and below a sum over k >= 1
-# with a factor 1/k runs over the whole table.
-def _eval_C19(ctx: PrimeContext) -> list[Case]:
-    e = 2
-    lhs = kernels.wdot(ctx.ring(e).modulus, True, ctx.franel(e), ctx.inv(e))
-    return [({}, e, lhs, 0)]
-
-
-def _eval_C110(ctx: PrimeContext) -> list[Case]:
-    e = 1
-    inv = ctx.inv(e)
-    return [({}, e, kernels.wdot(ctx.p, True, ctx.franel(e), inv, inv), 0)]
-
-
-def _eval_C111(ctx: PrimeContext) -> list[Case]:
-    e = 2
-    m = ctx.ring(e).modulus
-    # sum over k = 1..p-1 of (-1)^k f(k-1)/k, indexed from j = k-1
-    lhs = -kernels.wdot(m, True, ctx.franel(e)[:-1], ctx.inv(e)[1:]) % m
-    q = ctx.q2(e)
-    rhs = (3 * q + 3 * ctx.p * q * q) % m
-    return [({}, e, lhs, rhs)]
-
-
 def _eval_C112(ctx: PrimeContext) -> list[Case]:
     rows: list[Case] = []
     m = ctx.p
@@ -178,18 +185,6 @@ def _eval_C112(ctx: PrimeContext) -> list[Case]:
         lhs = kernels.wdot(m, r % 2 == 1, ctx.genfranel(1, r)[1:], *[inv] * (r - 1))
         rows.append(({"r": r}, 1, -lhs % m if r % 2 else lhs, 0))
     return rows
-
-
-def _eval_C25(ctx: PrimeContext) -> list[Case]:
-    e = 2
-    m = ctx.ring(e).modulus
-    fr = ctx.franel(e)
-    lhs = 0
-    sign = 1
-    for k in range(ctx.p):
-        lhs += sign * (3 * k + 2) * fr[k]
-        sign = -sign
-    return [({}, e, lhs % m, 0)]
 
 
 def _eval_C26(ctx: PrimeContext) -> list[Case]:
@@ -208,6 +203,8 @@ def _eval_C26(ctx: PrimeContext) -> list[Case]:
     return rows
 
 
+# The inverse tables hold 0 at k = 0, so a sum over k >= 1 with a factor
+# 1/k runs over the whole table.
 def _eval_C27(ctx: PrimeContext) -> list[Case]:
     e = 2
     p = ctx.p
@@ -225,6 +222,8 @@ def _eval_C27(ctx: PrimeContext) -> list[Case]:
     return rows
 
 
+# One row per k: L24, L26a, L26b and JV.
+
 def _eval_L24(ctx: PrimeContext) -> list[Case]:
     e = 2
     p = ctx.p
@@ -236,15 +235,6 @@ def _eval_L24(ctx: PrimeContext) -> list[Case]:
         rhs = 2 * p % m if 2 * k > p else -2 * p % m
         rows.append(({"k": k}, e, lhs, rhs))
     return rows
-
-
-def _eval_L25(ctx: PrimeContext) -> list[Case]:
-    e = 3
-    m = ctx.ring(e).modulus
-    lhs = ctx.franel(e)[ctx.p - 1]
-    q = ctx.q2(2)
-    rhs = (1 + 3 * ctx.p * q + 3 * ctx.p**2 * q * q) % m
-    return [({}, e, lhs, rhs)]
 
 
 def _eval_L26a(ctx: PrimeContext) -> list[Case]:
@@ -278,31 +268,6 @@ def _eval_L26b(ctx: PrimeContext) -> list[Case]:
     return rows
 
 
-def _eval_WOL(ctx: PrimeContext) -> list[Case]:
-    p = ctx.p
-    return [
-        ({"part": "H1"}, 2, ctx.harmonic(2, 1)[p - 1], 0),
-        ({"part": "H2"}, 1, ctx.harmonic(1, 2)[p - 1], 0),
-        ({"part": "CB"}, 3, ctx.central_double_mod_p3(), 1),
-    ]
-
-
-def _eval_LEH(ctx: PrimeContext) -> list[Case]:
-    e = 2
-    m = ctx.ring(e).modulus
-    lhs = ctx.harmonic(e, 1)[(ctx.p - 1) // 2]
-    q = ctx.q2(e)
-    rhs = (-2 * q + ctx.p * q * q) % m
-    return [({}, e, lhs, rhs)]
-
-
-def _eval_ST11(ctx: PrimeContext) -> list[Case]:
-    e = 2
-    m = ctx.ring(e).modulus
-    lhs = sum(ctx.central(e)) % m
-    return [({}, e, lhs, ctx.jacobi3 % m)]
-
-
 def _eval_JV(ctx: PrimeContext) -> list[Case]:
     p = ctx.p
     fr = ctx.franel(1)
@@ -313,6 +278,30 @@ def _eval_JV(ctx: PrimeContext) -> list[Case]:
     return rows
 
 
+# f(k-1) does not lower to one wdot call, and the statement's term-by-term
+# loop ran 75-100x slower than this at p = 101 and 199.
+def _eval_C111(ctx: PrimeContext) -> list[Case]:
+    e = 2
+    m = ctx.ring(e).modulus
+    # sum over k = 1..p-1 of (-1)^k f(k-1)/k, indexed from j = k-1
+    lhs = -kernels.wdot(m, True, ctx.franel(e)[:-1], ctx.inv(e)[1:]) % m
+    q = ctx.q2(e)
+    rhs = (3 * q + 3 * ctx.p * q * q) % m
+    return [({}, e, lhs, rhs)]
+
+
+# Three rows with params; perfbench/trace_child.py also wraps
+# central_double_mod_p3 by name.
+def _eval_WOL(ctx: PrimeContext) -> list[Case]:
+    p = ctx.p
+    return [
+        ({"part": "H1"}, 2, ctx.harmonic(2, 1)[p - 1], 0),
+        ({"part": "H2"}, 1, ctx.harmonic(1, 2)[p - 1], 0),
+        ({"part": "CB"}, 3, ctx.central_double_mod_p3(), 1),
+    ]
+
+
+# The language has no builtin for the weighted cube sums.
 def _eval_R1a(ctx: PrimeContext) -> list[Case]:
     e = 2
     m = ctx.ring(e).modulus
@@ -320,20 +309,7 @@ def _eval_R1a(ctx: PrimeContext) -> list[Case]:
     return [({}, e, lhs, ctx.jacobi3 % m)]
 
 
-def _eval_R1b(ctx: PrimeContext) -> list[Case]:
-    e = 2
-    m = ctx.ring(e).modulus
-    lhs = kernels.wdot(m, False, ctx.franel(e), ctx.powers(e, Fraction(1, 8)))
-    return [({}, e, lhs, ctx.jacobi3 % m)]
-
-
-def _eval_R1c(ctx: PrimeContext) -> list[Case]:
-    e = 1
-    p = ctx.p
-    lhs = kernels.wdot(p, False, ctx.franel(e), ctx.powers(e, Fraction(1, 8)), ctx.inv(e))
-    return [({}, e, lhs, 3 * ctx.q2(e) % p)]
-
-
+# The right side needs the representation p = x^2 + 3y^2.
 def _eval_S11conj(ctx: PrimeContext) -> list[Case]:
     e = 2
     p = ctx.p
@@ -352,17 +328,19 @@ def _eval_S11conj(ctx: PrimeContext) -> list[Case]:
 
 _register("T14_r", "theorem", 2, _eval_T14,
           description="alternating shifted-binomial transform of the cubed-row sums vs central-binomial squares, mod p^2")
-_register("C15", "theorem", 2, _moment_check(0, Fraction(1)),
+_register("C15", "theorem", 2, "sum(k=0..p-1, (-1)^k*f(k)) ≡ jacobi(p,3) (mod p^2)",
           description="alternating sum of cubed-row sums is the mod-3 character, mod p^2")
 _register("C16", "theorem", 2, _moment_check(1, Fraction(-2, 3)),
           description="first alternating moment, mod p^2")
 _register("C17", "theorem", 2, _moment_check(2, Fraction(10, 27)),
           description="second alternating moment, mod p^2")
-_register("C18", "theorem", 2, _eval_C18,
+_register("C18", "theorem", 2,
+          "sum(k=0..p-1, binom(2*k,k)*f(k)/(-4)^k)"
+          " ≡ sum(k=0..p-1, binom(2*k,k)*binom(2*k,k)*binom(2*k,k)/16^k) (mod p^2)",
           description="central-binomial weighted sum over (-4)^k vs cubed central binomials over 16^k")
-_register("C19", "theorem", 2, _eval_C19,
+_register("C19", "theorem", 2, "sum(k=1..p-1, (-1)^k*f(k)/k) ≡ 0 (mod p^2)",
           description="alternating sum with 1/k vanishes mod p^2")
-_register("C110", "theorem", 1, _eval_C110,
+_register("C110", "theorem", 1, "sum(k=1..p-1, (-1)^k*f(k)/k^2) ≡ 0 (mod p^1)",
           description="alternating sum with 1/k^2 vanishes mod p")
 _register("C111", "theorem", 2, _eval_C111,
           description="alternating shifted sum with 1/k equals a Fermat-quotient form")
@@ -382,7 +360,7 @@ _register("C27_x", "derived", 2, _eval_C27,
           description="alternating 1/l sum of polynomial values vs upper-range tail, mod p^2")
 _register("L24", "lemma", 2, _eval_L24,
           description="k binom(2k,k) binom(2(p-k),p-k) is +-2p mod p^2, all k")
-_register("L25", "lemma", 3, _eval_L25,
+_register("L25", "lemma", 3, "f(p-1) ≡ 1 + 3*p*q2() + 3*p^2*q2()^2 (mod p^3)",
           description="top cubed-row sum vs Fermat-quotient expansion mod p^3")
 _register("L26a", "lemma", 2, _eval_L26a,
           description="binom(p-1,k) binom(p+k,k) alternates signs mod p^2, all k")
@@ -390,17 +368,17 @@ _register("L26b", "lemma", 4, _eval_L26b,
           description="weighted triangle sums equal p^2 (-1)^k/(k+1) mod p^4, k <= p-2")
 _register("WOL", "lemma", 3, _eval_WOL,
           description="harmonic-number and central-binomial classics: H mod p^2, H2 mod p, binom(2p-1,p-1) mod p^3")
-_register("LEH", "lemma", 2, _eval_LEH,
+_register("LEH", "lemma", 2, "H((p-1)/2) ≡ -2*q2() + p*q2()^2 (mod p^2)",
           description="half-range harmonic number vs Fermat quotient of 2, mod p^2")
-_register("ST11_anchor", "lemma", 2, _eval_ST11,
+_register("ST11_anchor", "lemma", 2, "sum(k=0..p-1, binom(2*k,k)) ≡ jacobi(p,3) (mod p^2)",
           description="sum of central binomials is the mod-3 character, mod p^2")
 _register("JV", "lemma", 1, _eval_JV,
           description="reflection symmetry f_k = (-8)^k f_{p-1-k} mod p, all k")
 _register("R1a", "conjecture", 2, _eval_R1a,
           description="alternating (-8)-weighted cube sums give the mod-3 character, mod p^2")
-_register("R1b", "conjecture", 2, _eval_R1b,
+_register("R1b", "conjecture", 2, "sum(k=0..p-1, f(k)/8^k) ≡ jacobi(p,3) (mod p^2)",
           description="cubed-row sums over 8^k give the mod-3 character, mod p^2")
-_register("R1c", "derived", 1, _eval_R1c,
+_register("R1c", "derived", 1, "sum(k=1..p-1, f(k)/k/8^k) ≡ 3*q2() (mod p^1)",
           description="cubed-row sums over k 8^k give triple the Fermat quotient, mod p")
 _register("S11conj", "conjecture", 2, _eval_S11conj,
           description="cubed central binomials over 16^k vs 4x^2-2p with p = x^2+3y^2, mod p^2")

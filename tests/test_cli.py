@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,16 @@ def test_verify_repeated_id_runs_once(capsys):
             once = run_cli(capsys, *argv, "--id", "C15")
             assert run_cli(capsys, *argv, "--id", "C15,C15") == once
         assert "4/4 pass" in once[1]
+
+
+def test_verify_small_report_matches_its_committed_digest(capsys, tmp_path):
+    # the report bytes that perfbench/digests.json records for verify-small at seed 0
+    digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+    out = tmp_path / "verify.json"
+    code, _, _ = run_cli(capsys, "verify", "--primes", "5..199", "--format", "json", "--workers", "1",
+                         "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests["verify-small"][0]
 
 
 def test_verify_check_error_is_one_row(capsys, monkeypatch):

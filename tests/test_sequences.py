@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from franelcheck.modring import NonInvertibleError, ring_new
+from franelcheck.modring import NonInvertibleError, PrimePowerRing, ring_new
 from franelcheck.primes import primes_in_range
 from franelcheck.sequences import (
+    PrimeContext,
     apery_exact,
     binom_exact,
     franel_exact,
@@ -175,6 +176,20 @@ def test_prime_context_caches_tables():
     assert ctx.fpoly(2, 2) is ctx.fpoly(2, 2)
     assert ctx.jacobi3 == 1
     assert get_context(13) is ctx
+
+
+def test_a_cached_table_converts_its_fraction_argument_once(monkeypatch):
+    calls = []
+    from_rational = PrimePowerRing.from_rational
+    monkeypatch.setattr(PrimePowerRing, "from_rational", lambda ring, q: calls.append(q) or from_rational(ring, q))
+    ctx = PrimeContext(13)
+    for table in (ctx.powers, ctx.fpoly, ctx.weighted_cubes):
+        calls.clear()
+        first = table(2, Fraction(1, 8))
+        assert calls == [Fraction(1, 8)]
+        assert table(2, Fraction(1, 8)) is first
+        assert calls == [Fraction(1, 8)]  # the second lookup converts nothing
+        assert first == table(2, ring_new(13, 2).from_rational(Fraction(1, 8)).value)
 
 
 def test_small_binom_table_is_exact():

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from franelcheck import suite
+from franelcheck.expr import parse
 from franelcheck.modring import jacobi
 from franelcheck.primes import primes_in_range
 from franelcheck.report import render_csv, render_json, render_text
+from franelcheck.sequences import franel_exact
 from franelcheck.suite import REGISTRY, check_ids, run_check, run_suite
 
 ALL_IDS = [
@@ -197,6 +203,61 @@ def test_parameterized_rows_match_exact_rational_summation():
     assert row.lhs == _modfrac(sum(Fraction(fr[k], 8**k) for k in range(p)), m2)
     row = run_check("R1c", p)[0]
     assert row.lhs == _modfrac(sum(Fraction(fr[k], k * 8**k) for k in range(1, p)), p)
+
+
+def _single_row_sides(p):
+    """Both sides of the single-row checks at p by exact arithmetic: check id
+    -> (lhs, rhs) reduced mod p^e."""
+    fr = [franel_exact(k) for k in range(p)]
+    ce = [math.comb(2 * k, k) for k in range(p)]
+    q = (2 ** (p - 1) - 1) // p
+    chi = 1 if p % 3 == 1 else -1
+
+    def moment(r):
+        return sum((-1) ** k * k**r * fr[k] for k in range(p))
+
+    sides = {
+        "C15": (moment(0), chi, 2),
+        "C16": (moment(1), Fraction(-2, 3) * chi, 2),
+        "C17": (moment(2), Fraction(10, 27) * chi, 2),
+        "K3": (moment(3), Fraction(-10, 81) * chi, 2),
+        "K4": (moment(4), Fraction(-14, 243) * chi, 2),
+        "C18": (sum(Fraction(ce[k] * fr[k], (-4) ** k) for k in range(p)),
+                sum(Fraction(ce[k] ** 3, 16**k) for k in range(p)), 2),
+        "C19": (sum(Fraction((-1) ** k * fr[k], k) for k in range(1, p)), 0, 2),
+        "C110": (sum(Fraction((-1) ** k * fr[k], k * k) for k in range(1, p)), 0, 1),
+        "C111": (sum(Fraction((-1) ** k * fr[k - 1], k) for k in range(1, p)), 3 * q + 3 * p * q * q, 2),
+        "C25": (sum((-1) ** k * (3 * k + 2) * fr[k] for k in range(p)), 0, 2),
+        "L25": (fr[p - 1], 1 + 3 * p * q + 3 * p**2 * q**2, 3),
+        "LEH": (sum(Fraction(1, j) for j in range(1, (p + 1) // 2)), -2 * q + p * q * q, 2),
+        "ST11_anchor": (sum(ce), chi, 2),
+        "R1b": (sum(Fraction(fr[k], 8**k) for k in range(p)), chi, 2),
+        "R1c": (sum(Fraction(fr[k], k * 8**k) for k in range(1, p)), 3 * q, 1),
+    }
+    return {cid: (_modfrac(Fraction(lhs), p**e), _modfrac(Fraction(rhs), p**e)) for cid, (lhs, rhs, e) in sides.items()}
+
+
+def test_single_row_checks_match_exact_arithmetic():
+    statements = {cid for cid, spec in REGISTRY.items() if spec.statement}
+    for p in primes_in_range(5, 31):
+        sides = _single_row_sides(p)
+        assert statements <= set(sides)
+        for cid, want in sides.items():
+            (row,) = run_check(cid, p)
+            assert (row.lhs, row.rhs) == want, (cid, p)
+
+
+def test_statement_exponents_match_their_registered_exponents():
+    for cid, spec in REGISTRY.items():
+        if spec.statement:
+            assert parse(spec.statement).modulus_exponent == spec.modulus_exponent, cid
+
+
+def test_statements_compile_on_first_use_not_at_import():
+    code = "import franelcheck.suite as s; print(s.expr.compile_expr.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(suite.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
 
 
 def test_full_suite_small_range_passes():
