@@ -32,18 +32,16 @@ which eval_congruence turns into error rows.
 
 A sum(k=lo..hi, body) whose body is a product or quotient of the factors
 
-    constants in k, (-1)^k, c^k and /c^k (c constant), k and k^c,
+    constants in k, (-1)^k, c^k and /c^k (c constant),
     f(k), binom(2*k,k), H(k), H2(k), fr(r,k) (r constant), 1/k and 1/k^2
 
 is lowered at compile time to one kernels.wdot call over slices of their
-tables; k, k^c, c^k and /c^k build just their slice at k = lo..hi for each
-sum.  That call runs only when no factor can raise on the range:
+tables; c^k and /c^k build just the slice c^lo..c^hi for each sum.  That call runs only when no factor can raise on the range:
 0 <= lo, hi <= p-1, lo >= 1 with a 1/k factor, c a unit with a /c^k
-factor, c >= 0 with a k^c factor, r >= 1, and every constant (evaluated
-once, only for a nonempty range; divisors inverted through the ring)
-defined.  Every other sum, and every such sum where a condition fails,
-runs term by term, so values, error texts and error order are those of
-the term-by-term loop.
+factor, r >= 1, and every constant (evaluated once, only for a nonempty
+range; divisors inverted through the ring) defined.  Every other sum, and
+every such sum where a condition fails, runs term by term, so values,
+error texts and error order are those of the term-by-term loop.
 
 Builtins: binom(n,k), f(n), fx(n,x), fr(r,n), A(n), H(n), H2(n), q2(),
 jacobi(a,n), inv(a).
@@ -68,6 +66,7 @@ from .sequences import (
     _apery_cached,
     binom_exact,
     franel_exact,
+    PrimeContext,
     generalized_franel,
     get_context,
 )
@@ -482,10 +481,10 @@ class _Runtime:
 
     __slots__ = ("p", "e", "m", "ring", "ctx", "bindings", "slots", "ops", "tables")
 
-    def __init__(self, ring: PrimePowerRing, bindings: dict[str, Residue], nslots: int):
+    def __init__(self, ring: PrimePowerRing, bindings: dict[str, Residue], nslots: int, ctx: PrimeContext):
         self.p, self.e, self.m = ring.p, ring.e, ring.modulus
         self.ring = ring
-        self.ctx = get_context(ring.p)
+        self.ctx = ctx
         self.bindings = bindings
         self.slots = [0] * nslots
         self.tables = {}
@@ -519,15 +518,11 @@ def _apply(fn, *operands, costly: bool = False):
     language error is left to raise again when the node is evaluated, so
     errors keep their order.
     """
-    if not costly:
-        for v in operands:
-            if type(v) is not int:
-                break
-        else:
-            try:
-                return fn(*operands)
-            except _DSL_ERRORS:
-                return lambda: fn(*operands)
+    if not costly and all(type(v) is int for v in operands):
+        try:
+            return fn(*operands)
+        except _DSL_ERRORS:
+            return lambda: fn(*operands)
     if not operands:
         return fn
     if len(operands) == 1:
@@ -792,18 +787,14 @@ def _lower_factor(node: Ast, inverted: bool, k: str, scope: dict[str, int], slot
     The maker gives, for a runtime, the factor's value for the closure loop
     and a function (lo, hi) -> what the wdot call takes of it: the scalar,
     a list of tables at k = lo..hi, or None where the factor could raise.
-    k, c^k and k^c build their slices for each call and cache nothing, so a
-    c that changes from one sum to the next costs what the loop's pow calls
-    did.  kind is "scalar" (no k in it), "sign" ((-1)^k), "table",
-    "inverse" (1/k or 1/k^2, which need k >= 1) or None (the factor does
-    not lower).
+    c^k builds its slice for each call and caches nothing, so a base that
+    changes from one sum to the next costs what the loop's pow calls did.
+    kind is "scalar" (no
+    k in it), "sign" ((-1)^k), "table", "inverse" (1/k or 1/k^2, which need
+    k >= 1) or None (the factor does not lower).
     """
     index = Var(k)
-    if node == index and not inverted:
-        value = _ring(node, scope, slots)
-        return "table", lambda rt: (value(rt), lambda lo, hi: [list(range(lo, hi + 1))])
-    is_power = isinstance(node, BinOp) and node.op == "^"
-    if is_power and node.right == index and not _mentions(node.left, k):
+    if isinstance(node, BinOp) and node.op == "^" and node.right == index and not _mentions(node.left, k):
         base, power = _ring(node.left, scope, slots), _ring_power(node, scope)
 
         def powers(rt):
@@ -812,26 +803,12 @@ def _lower_factor(node: Ast, inverted: bool, k: str, scope: dict[str, int], slot
             def fetch(lo, hi):
                 c = _force(b)
                 c = rt.inv(c) if inverted else c
-                x = pow(c, lo, m)
-                return [[x] + [x := x * c % m for _ in range(hi - lo)]]
+                steps = itertools.repeat(c, hi - lo)
+                return [list(itertools.accumulate(steps, lambda a, x: a * x % m, initial=pow(c, lo, m)))]
 
             return power(rt, b), fetch
 
         return ("sign" if node.left == _SIGN else "table"), powers
-    if is_power and node.left == index and not inverted and not _mentions(node.right, k):
-        # the exponent has no sums in it, so compiling it twice costs little
-        value, exponent = _ring(node, scope, slots), _int(node.right, scope)
-
-        def moments(rt):
-            c, m = exponent(rt), rt.m
-
-            def fetch(lo, hi):
-                x = _force(c)
-                return [[pow(j, x, m) for j in range(lo, hi + 1)]] if x >= 0 else None
-
-            return value(rt), fetch
-
-        return "table", moments
     value = _ring(node, scope, slots)
     if not _mentions(node, k):
 
@@ -1027,13 +1004,16 @@ def _ring_call(node: Call, scope: dict[str, int], slots: itertools.count):
 @lru_cache(maxsize=64)
 def compile_expr(ast: Ast):
     """Compile an expression once; the result maps (ring, bindings) to the
-    canonical value mod p^e, raising EvalError or NonInvertibleError."""
+    canonical value mod p^e, raising EvalError or NonInvertibleError.
+    Tables come from ctx, by default get_context(p)."""
     slots = itertools.count()
     make = _ring(ast, {}, slots)
     nslots = next(slots)
 
-    def run(ring: PrimePowerRing, bindings: dict[str, Residue] | None = None) -> int:
-        value = make(_Runtime(ring, bindings or {}, nslots))
+    def run(
+        ring: PrimePowerRing, bindings: dict[str, Residue] | None = None, ctx: PrimeContext | None = None
+    ) -> int:
+        value = make(_Runtime(ring, bindings or {}, nslots, ctx or get_context(ring.p)))
         return value if type(value) is int else value()
 
     return run

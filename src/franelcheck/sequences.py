@@ -113,11 +113,14 @@ def _as_residue_value(ring: PrimePowerRing, x: int | Fraction | Residue) -> int:
 
 
 def _param_key(ring: PrimePowerRing, x: int | Fraction | Residue):
-    """x as a table's cache key, so that a hit converts nothing: a Residue by
-    its value, a Fraction by (numerator, denominator), which hashes faster."""
+    """x as a table's cache key, so that a hit converts nothing: an integer
+    (or integral Fraction) or Residue by its residue, any other Fraction by
+    (numerator, denominator), which hashes faster than the Fraction."""
     if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return _as_residue_value(ring, x) if isinstance(x, Residue) else x
+        if x.denominator != 1:
+            return x.numerator, x.denominator
+        x = x.numerator
+    return _as_residue_value(ring, x)
 
 
 @lru_cache(maxsize=4096)

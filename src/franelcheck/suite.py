@@ -102,7 +102,7 @@ def _statement(text: str) -> Callable[[PrimeContext], list[Case]]:
     def evaluate(ctx: PrimeContext) -> list[Case]:
         e, lhs, rhs = compiled()
         ring = ctx.ring(e)
-        return [({}, e, lhs(ring), rhs(ring))]
+        return [({}, e, lhs(ring, ctx=ctx), rhs(ring, ctx=ctx))]
 
     return evaluate
 

@@ -190,6 +190,8 @@ def test_a_cached_table_converts_its_fraction_argument_once(monkeypatch):
         assert table(2, Fraction(1, 8)) is first
         assert calls == [Fraction(1, 8)]  # the second lookup converts nothing
         assert first == table(2, ring_new(13, 2).from_rational(Fraction(1, 8)).value)
+    # an integer is one key however it is given
+    assert ctx.powers(2, 2) is ctx.powers(2, Fraction(2)) is ctx.powers(2, 2 + 13**2)
 
 
 def test_small_binom_table_is_exact():

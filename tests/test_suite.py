@@ -13,7 +13,7 @@ from franelcheck.expr import parse
 from franelcheck.modring import jacobi
 from franelcheck.primes import primes_in_range
 from franelcheck.report import render_csv, render_json, render_text
-from franelcheck.sequences import franel_exact
+from franelcheck.sequences import PrimeContext, franel_exact, get_context
 from franelcheck.suite import REGISTRY, check_ids, run_check, run_suite
 
 ALL_IDS = [
@@ -251,6 +251,12 @@ def test_statement_exponents_match_their_registered_exponents():
     for cid, spec in REGISTRY.items():
         if spec.statement:
             assert parse(spec.statement).modulus_exponent == spec.modulus_exponent, cid
+
+
+def test_statements_read_tables_from_the_context_they_are_given():
+    ctx = PrimeContext(13)
+    assert REGISTRY["C15"].evaluate(ctx) == REGISTRY["C15"].evaluate(get_context(13))
+    assert ctx._cache  # the franel table was built in the context given
 
 
 def test_statements_compile_on_first_use_not_at_import():
